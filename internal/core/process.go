@@ -40,7 +40,6 @@ type Process struct {
 
 	threads      map[int]*Thread
 	readyThreads []*Thread
-	yield        chan yieldInfo
 	nextTID      int
 	liveThreads  int
 
@@ -71,7 +70,6 @@ func NewProcess(env *sim.Env, name string, tr Transport, costs calib.LynxRuntime
 		caps:         TransportCaps(tr),
 		costs:        costs,
 		threads:      make(map[int]*Thread),
-		yield:        make(chan yieldInfo),
 		ends:         make(map[TransEnd]*End),
 		pendingSends: make(map[uint64]*sendRecord),
 	}
@@ -149,7 +147,7 @@ func (pr *Process) DebugState() string {
 		pr.name, pr.dead, pr.liveThreads, len(pr.pendingSends), len(pr.ends))
 	for _, t := range pr.threads {
 		fmt.Fprintf(&b, "  thread %d (%s): blocked=%v end=%v\n",
-			t.id, t.name, t.blocked.kind, t.blocked.end)
+			t.id, t.Name(), t.blocked.kind, t.blocked.end)
 	}
 	for _, e := range pr.ends {
 		fmt.Fprintf(&b, "  end %v: dead=%v moving=%v handler=%v outReq=%d outRep=%d owed=%d inReq=%d recvWait=%d replyWait=%d\n",
@@ -167,15 +165,14 @@ func (pr *Process) DebugState() string {
 func (pr *Process) spawnThread(name string, fn func(*Thread)) *Thread {
 	pr.nextTID++
 	t := &Thread{
-		pr:     pr,
-		id:     pr.nextTID,
-		name:   name,
-		resume: make(chan wake),
+		pr:   pr,
+		id:   pr.nextTID,
+		name: name,
+		fn:   fn,
 	}
 	pr.threads[t.id] = t
 	pr.liveThreads++
 	pr.readyThreads = append(pr.readyThreads, t)
-	go t.run(fn)
 	return t
 }
 
@@ -255,17 +252,14 @@ func (pr *Process) resumeThread(t *Thread) {
 	if t.dead {
 		return
 	}
-	w := wake{}
-	if t.hasWake {
-		w = t.pendingWake
-		t.pendingWake = wake{}
-		t.hasWake = false
+	if t.co == nil {
+		t.co = pr.env.Carrier(t.run)
 	}
-	t.resume <- w
-	info := <-pr.yield
-	if info.done {
+	if t.co.Resume() {
+		pr.env.Recycle(t.co)
+		t.co = nil
 		pr.liveThreads--
-		delete(pr.threads, info.t.id)
+		delete(pr.threads, t.id)
 	}
 }
 
@@ -389,7 +383,7 @@ func (pr *Process) handleEvent(ev Event) {
 }
 
 // flushWakes moves pending wakes into the ready queue, attaching each
-// wake value to its thread for resumeThread to deliver.
+// wake value to its thread for park to return.
 func (pr *Process) flushWakes() {
 	for i := range pr.pendingWakes {
 		t, w := pr.pendingWakes[i].t, pr.pendingWakes[i].w
@@ -398,9 +392,8 @@ func (pr *Process) flushWakes() {
 			continue
 		}
 		pr.readyThreads = append(pr.readyThreads, t)
-		// Stash the wake value for resumeThread delivery.
+		// Stash the wake value for park to return.
 		t.pendingWake = w
-		t.hasWake = true
 	}
 	pr.pendingWakes = pr.pendingWakes[:0]
 }
@@ -436,9 +429,10 @@ func (pr *Process) handleIncoming(ev Event) {
 			pr.wakeThread(t, wake{val: req})
 		case e.handler != nil:
 			h := e.handler
-			pr.spawnThread(fmt.Sprintf("serve:%s", m.Op), func(t *Thread) {
+			t := pr.spawnThread("serve:", func(t *Thread) {
 				h(t, req)
 			})
+			t.serveOp = m.Op
 		default:
 			// Queue opened explicitly; a thread will Receive it later.
 			e.inReq = append(e.inReq, m)

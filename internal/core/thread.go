@@ -13,15 +13,24 @@ import (
 // mutual exclusion and may be managed by the language run-time package,
 // much like the coroutines of Modula-2".
 //
-// All Thread methods must be called from the thread's own goroutine
-// while it is the running thread.
+// Each thread runs on its own coroutine carrier (sim.Carrier), which
+// the dispatcher resumes; control returns when the thread blocks or
+// returns. While it runs, a thread borrows the process's simproc: a
+// Delay or kernel call that parks the simproc suspends the simproc's
+// carrier from inside the thread's.
+//
+// All Thread methods must be called from the thread's own code while it
+// is the running thread.
 type Thread struct {
-	pr   *Process
-	id   int
-	name string
-	// resume carries the wake value when the dispatcher reschedules us.
-	resume chan wake
-	dead   bool
+	pr *Process
+	id int
+	// name is the label given at Fork. A serve thread's is "serve:"
+	// plus serveOp, joined only when a name is asked for.
+	name    string
+	serveOp string
+	fn      func(*Thread)
+	co      *sim.Carrier
+	dead    bool
 	// abortErr, when set by Abort, is delivered at the thread's next
 	// (or current) block point.
 	abortErr error
@@ -29,9 +38,8 @@ type Thread struct {
 	// and for Abort to find and detach the waiter registration.
 	blocked blockState
 	// pendingWake carries the wake value attached by flushWakes until
-	// resumeThread delivers it (valid only while hasWake is set).
+	// park returns it.
 	pendingWake wake
-	hasWake     bool
 }
 
 // wake is what a parked thread receives on resumption.
@@ -60,18 +68,11 @@ const (
 	blockSleep             // in Thread.Sleep
 )
 
-// yieldInfo is what a thread sends the dispatcher when giving up the
-// processor.
-type yieldInfo struct {
-	t    *Thread
-	done bool // thread function returned
-}
-
 // ID returns the thread id (unique within its process).
 func (t *Thread) ID() int { return t.id }
 
 // Name returns the thread's label.
-func (t *Thread) Name() string { return t.name }
+func (t *Thread) Name() string { return t.name + t.serveOp }
 
 // Process returns the owning process.
 func (t *Thread) Process() *Process { return t.pr }
@@ -80,8 +81,9 @@ func (t *Thread) Process() *Process { return t.pr }
 // dispatcher reschedules this thread, returning the wake value. If an
 // abort is pending it is delivered here.
 func (t *Thread) park() wake {
-	t.pr.yield <- yieldInfo{t: t}
-	w := <-t.resume
+	t.co.Suspend()
+	w := t.pendingWake
+	t.pendingWake = wake{}
 	if t.abortErr != nil && w.err == nil {
 		w.err = t.abortErr
 		t.abortErr = nil
@@ -161,27 +163,23 @@ func (t *Thread) Abort(target *Thread) {
 	t.pr.abortThread(target, ErrAborted)
 }
 
-// run is the goroutine body of a thread.
-func (t *Thread) run(fn func(*Thread)) {
+// run is the carrier body of a thread.
+func (t *Thread) run() {
 	defer func() {
 		if r := recover(); r != nil {
 			if sim.IsKilled(r) {
-				// The whole process was killed while this thread held the
-				// proc token: finish the proc's lifecycle from here (the
-				// dispatcher goroutine is abandoned).
-				t.pr.sp.FinishFromBorrower()
-				return
+				// The whole process was killed while this thread had its
+				// simproc parked: unwind on into the dispatcher, which
+				// resumed this carrier and runs on the simproc's.
+				panic(r)
 			}
 			t.pr.env.Stop(fmt.Errorf("lynx: process %s thread %d (%s) panicked: %v",
-				t.pr.name, t.id, t.name, r))
+				t.pr.name, t.id, t.Name(), r))
 		}
 		t.dead = true
-		t.pr.yield <- yieldInfo{t: t, done: true}
 	}()
-	// Wait for the first dispatch.
-	<-t.resume
 	if t.abortErr != nil {
 		return // aborted before it ever ran
 	}
-	fn(t)
+	t.fn(t)
 }

@@ -1,9 +1,9 @@
 package obs
 
 import (
-	"fmt"
 	"math/bits"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -277,7 +277,7 @@ func (m *Metrics) Histogram(name string) *Histogram {
 // ProcKey derives the per-process variant of a metric name, e.g.
 // ProcKey("unwanted_receives_total", 3) = "unwanted_receives_total{proc=3}".
 func ProcKey(name string, proc int) string {
-	return fmt.Sprintf("%s{proc=%d}", name, proc)
+	return name + "{proc=" + strconv.Itoa(proc) + "}"
 }
 
 // Value returns the named counter's value without creating it.

@@ -6,7 +6,7 @@
 // EnterParallel splits a fresh root Env into N shard envs. Each shard is
 // a full Env — its own 4-ary timer heap (the sharded event set), ready
 // ring, rng stream, and arena-allocated timer state — running the
-// ordinary token-handoff scheduler. The coordinator repeatedly computes
+// ordinary resume-loop scheduler. The coordinator repeatedly computes
 // the earliest pending event time across shards, derives a window bound
 // from the partition's lookahead, and lets a worker pool run every shard
 // with work inside the window concurrently. A barrier follows each

@@ -5,7 +5,7 @@ import (
 	"fmt"
 )
 
-// ErrKilled is the panic payload delivered to a simproc resumed after
+// killedPanic is the panic payload delivered to a simproc resumed after
 // Kill. The proc wrapper recovers it; user code that must clean up on
 // crash may also recover it, re-panicking if the payload is unexpected.
 type killedPanic struct{ p *Proc }
@@ -17,19 +17,18 @@ func (k killedPanic) Error() string {
 // ErrProcDone is returned by operations attempted on a finished proc.
 var ErrProcDone = errors.New("sim: proc already finished")
 
-// Proc is a simulated process: a goroutine scheduled by an Env.
+// Proc is a simulated process: a function run on a coroutine carrier
+// by an Env.
 type Proc struct {
 	env  *Env
 	id   int
 	name string
-	// gate is the proc's token semaphore: the previous token holder
-	// signals it to resume this proc. Buffered so handoff never blocks
-	// the sender.
-	gate    chan struct{}
-	fn      func(p *Proc)
-	started bool
-	done    bool
-	killed  bool
+	// co is the carrier the proc runs on, taken at its first dispatch
+	// and recycled when its function returns.
+	co     *Carrier
+	fn     func(p *Proc)
+	done   bool
+	killed bool
 
 	// Park bookkeeping: at most one of these is active while parked.
 	waitQ     *WaitQueue // queue this proc is enqueued on, if any
@@ -56,12 +55,15 @@ func (p *Proc) Killed() bool { return p.killed }
 // Done reports whether the proc's function has returned.
 func (p *Proc) Done() bool { return p.done }
 
-// run is the goroutine body wrapping the user function.
+// run is the carrier body wrapping the user function. A kill unwinds
+// to here by panic — also when a LYNX thread borrowing the proc was
+// the one parked: the panic leaves the thread's carrier and re-raises
+// in the dispatcher that resumed it, which runs on this carrier.
 func (p *Proc) run() {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(killedPanic); !ok {
-				// Re-panicking here would abandon the token mid-run;
+				// Re-panicking here would unwind through the scheduler;
 				// surface the panic through Stop so Run returns it.
 				p.env.Stop(fmt.Errorf("sim: proc %d (%s) panicked: %v", p.id, p.name, r))
 			}
@@ -70,33 +72,32 @@ func (p *Proc) run() {
 			}
 		}
 		p.done = true
-		p.env.finish()
 	}()
-	// The first dispatch granted the token directly; run immediately —
-	// unless the proc was killed before it ever ran (spawned and killed
-	// within the same scheduling step, e.g. a helper whose owner exits at
-	// spawn time). Kill's ready-queue branch relies on the next
-	// resume-from-park to observe the flag, but a never-run proc has no
-	// park to resume from: without this check its body would start and
-	// could block forever on state its (dead) owner will never advance.
+	// Run immediately on first dispatch — unless the proc was killed
+	// before it ever ran (spawned and killed within the same scheduling
+	// step, e.g. a helper whose owner exits at spawn time). Kill's
+	// ready-queue branch relies on the next resume-from-park to observe
+	// the flag, but a never-run proc has no park to resume from: without
+	// this check its body would start and could block forever on state
+	// its (dead) owner will never advance.
 	if p.killed {
 		panic(killedPanic{p})
 	}
 	p.fn(p)
 }
 
-// park yields the token and blocks until woken. The parking goroutine
-// runs the scheduling decision itself: if this proc is its own
-// successor, park returns with no channel operation at all (the fast
-// path); otherwise the token is handed directly to the next runnable
-// proc (one channel operation) and this goroutine blocks on its gate.
-// On wake, if the proc was killed while parked, park panics with
-// killedPanic, unwinding the user function (deferred cleanups run).
+// park gives up the processor until woken. The parking proc makes the
+// scheduling decision itself: if it is its own successor, park returns
+// with no switch at all (the fast path); otherwise it records the
+// successor for the resume loop (Env.runCore) and suspends its
+// carrier. On wake, if the proc was killed while parked, park panics
+// with killedPanic, unwinding the user function (deferred cleanups
+// run).
 func (p *Proc) park() {
 	e := p.env
 	if n := e.next(); n != p {
-		e.handoff(n)
-		<-p.gate
+		e.succ = n
+		p.co.Suspend()
 	}
 	if p.killed {
 		panic(killedPanic{p})
@@ -156,22 +157,10 @@ func (p *Proc) KillAt(t Time) {
 }
 
 // IsKilled reports whether a recovered panic value is the kill signal a
-// parked proc receives after Kill. Goroutines that borrow a proc's
-// identity use it to distinguish crash unwinding from real panics.
+// parked proc receives after Kill. Code that runs on a proc's behalf
+// (a LYNX thread borrowing the proc) uses it to tell crash unwinding
+// from real panics, and re-panics the kill signal.
 func IsKilled(r any) bool {
 	_, ok := r.(killedPanic)
 	return ok
-}
-
-// FinishFromBorrower completes the proc's lifecycle from a goroutine that
-// borrowed the proc's identity and recovered its kill signal: it runs the
-// OnKill hooks (LIFO) and passes the token onward. The proc's original
-// goroutine is abandoned (it stays parked forever). Hooks must not block
-// or park.
-func (p *Proc) FinishFromBorrower() {
-	for i := len(p.onKill) - 1; i >= 0; i-- {
-		p.onKill[i]()
-	}
-	p.done = true
-	p.env.finish()
 }

@@ -1,33 +1,34 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
-// The kernel runs simulated processes ("simprocs") under a strict token
-// handoff discipline: exactly one simproc executes at any instant, and
-// virtual time advances only when every simproc is parked. This makes
-// every run with the same seed bit-for-bit reproducible, which is what
-// lets the experiment harness reproduce the paper's latency tables as
-// stable virtual-time measurements.
+// The kernel runs simulated processes ("simprocs") one at a time:
+// exactly one simproc executes at any instant, and virtual time
+// advances only when every simproc is parked. This makes every run with
+// the same seed bit-for-bit reproducible, which is what lets the
+// experiment harness reproduce the paper's latency tables as stable
+// virtual-time measurements.
 //
-// A simproc is an ordinary goroutine wrapped by a *Proc. It may block on
-// timers (Delay), on wait queues (WaitQueue), or simply finish. The
-// scheduler resumes runnable simprocs in deterministic FIFO order and,
-// when none are runnable, pops the earliest timer and advances the
-// virtual clock.
+// A simproc is a function running on a coroutine carrier (Carrier)
+// owned by a *Proc. It may block on timers (Delay), on wait queues
+// (WaitQueue), or simply finish. The scheduler resumes runnable
+// simprocs in deterministic FIFO order and, when none are runnable,
+// pops the earliest timer and advances the virtual clock.
 //
-// Scheduling uses direct handoff: the goroutine that yields the token
-// (a parking or finishing simproc) runs the scheduling decision itself
-// and passes the token straight to the next runnable simproc — one
-// channel operation per context switch instead of a round trip through
-// a central scheduler goroutine. When a simproc is its own successor
-// (it yielded but is already runnable again, the common case for a lone
-// proc driving timers) the handoff is a plain function return with no
-// channel operation at all. Env.Run's goroutine only runs scheduling
-// until the first handoff, then parks until the run ends.
+// Env.Run is the resume loop: it resumes the next runnable simproc's
+// carrier, which runs until it parks. The parking simproc makes the
+// next scheduling decision itself and records its successor; when it
+// is its own successor (it yielded but is already runnable again, the
+// common case for a lone proc driving timers) park returns with no
+// switch at all. Otherwise its carrier suspends back to the loop, which
+// resumes the successor. Strict one-at-a-time execution is structural:
+// a coroutine runs only while its resumer waits.
 //
-// Token discipline: a *Proc's identity may be borrowed by another
-// goroutine (the LYNX runtime hands the process token between coroutine
-// goroutines), as long as at most one goroutine uses the Proc at a time.
-// The channel handoffs used internally establish the happens-before
-// edges that make this race-free.
+// Carriers come from one bounded process-wide pool, shared by every Env
+// and by the LYNX run-time package, whose threads run on carriers too.
+// A thread may borrow its process's *Proc — park it, delay it — from
+// the thread's own carrier: parking suspends the proc's carrier from
+// inside the thread's, and the thread continues when the proc is
+// resumed. A kill unwinds a borrowing thread by panic, which leaves
+// the thread's carrier and re-raises in the dispatcher that resumed it.
 package sim
 
 import (
@@ -66,8 +67,8 @@ func (d Duration) Milliseconds() float64 { return float64(d) / float64(Milliseco
 // is runnable and no timer is pending.
 var ErrDeadlock = errors.New("sim: deadlock: live procs blocked with no pending timers")
 
-// endReason records why scheduling stopped; Run's goroutine turns it
-// into a return value after it regains the token.
+// endReason records why scheduling stopped; Run turns it into a return
+// value when the resume loop ends.
 type endReason int
 
 const (
@@ -92,13 +93,15 @@ type Env struct {
 	stopped bool
 	stopErr error
 
-	// limit and end are the active run's horizon and exit reason; both
-	// are only touched by the goroutine holding the token.
+	// limit and end are the active run's horizon and exit reason.
 	limit Time
 	end   endReason
-	// mainGate parks Run's goroutine while simprocs hand the token
-	// among themselves; the proc that ends the run signals it.
-	mainGate chan struct{}
+	// succ is the proc a parking proc chose to run next; the resume
+	// loop in runCore picks it up when the parked carrier suspends.
+	succ *Proc
+	// spare is the last recycled carrier, kept for the next taker
+	// until the run ends (see Env.Carrier).
+	spare *Carrier
 	// timerFree is a freelist of recycled timers (hot paths schedule
 	// and retire one timer per scheduling decision).
 	timerFree *timer
@@ -121,9 +124,8 @@ type Env struct {
 // NewEnv creates an environment whose random source is seeded with seed.
 func NewEnv(seed uint64) *Env {
 	return &Env{
-		rng:      NewRand(seed),
-		mainGate: make(chan struct{}, 1),
-		limit:    -1,
+		rng:   NewRand(seed),
+		limit: -1,
 	}
 }
 
@@ -165,7 +167,6 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 		env:  e,
 		id:   e.allocPID(),
 		name: name,
-		gate: make(chan struct{}, 1),
 		fn:   fn,
 	}
 	e.live++
@@ -343,17 +344,30 @@ func (e *Env) runCore(limit Time) {
 			e.timers.push(t)
 		}
 	}
-	if n := e.next(); n != nil {
-		// Hand the token to the first runnable proc; it and its
-		// successors schedule each other directly. The token comes back
-		// here only when the run is over.
-		e.transfer(n)
-		<-e.mainGate
+	// The resume loop: run each proc until it parks (having chosen its
+	// successor) or returns (the loop then chooses). A nil successor
+	// means the run is over.
+	for p := e.next(); p != nil; {
+		if p.co == nil {
+			p.co = e.Carrier(p.run)
+		}
+		if p.co.Resume() {
+			e.Recycle(p.co)
+			p.co = nil
+			e.live--
+			p = e.next()
+			continue
+		}
+		p, e.succ = e.succ, nil
+	}
+	if e.spare != nil {
+		e.spare.release()
+		e.spare = nil
 	}
 }
 
-// next makes one scheduling decision on behalf of whichever goroutine
-// holds the token: it returns the next proc to run, firing due timers
+// next makes one scheduling decision on behalf of the running proc or
+// the resume loop: it returns the next proc to run, firing due timers
 // (which advances the virtual clock) until one becomes runnable. A nil
 // result means the run is over; e.end says why.
 func (e *Env) next() *Proc {
@@ -421,37 +435,6 @@ func (e *Env) fire(t *timer) {
 	fn := t.fn
 	e.freeTimer(t)
 	fn()
-}
-
-// transfer gives the token to p: first dispatch starts its goroutine,
-// later ones signal its gate. The gate is buffered so the sender never
-// blocks (p is guaranteed to be at, or arriving at, its gate receive).
-func (e *Env) transfer(p *Proc) {
-	if !p.started {
-		p.started = true
-		go p.run()
-		return
-	}
-	p.gate <- struct{}{}
-}
-
-// handoff passes the token onward after the calling goroutine is done
-// with it: to the next runnable proc, or back to Run's goroutine when
-// the run is over.
-func (e *Env) handoff(n *Proc) {
-	if n == nil {
-		e.mainGate <- struct{}{}
-		return
-	}
-	e.transfer(n)
-}
-
-// finish retires the current proc (already marked done) and passes the
-// token onward. Called from the proc's own goroutine as it exits, or
-// from a borrower completing the proc's lifecycle.
-func (e *Env) finish() {
-	e.live--
-	e.handoff(e.next())
 }
 
 // wake moves p to the back of the ready queue. It is idempotent per park:

@@ -238,6 +238,9 @@ type Kernel struct {
 	groups []*kgroup // non-nil after Partition
 
 	rec *obs.Recorder
+	// Counter handles, resolved once at construction so the hot paths
+	// skip the registry's name lookup.
+	cRequests, cAccepts, cInterrupts, cDiscovers, cBroadcasts, cRetries, cBytes *obs.Counter
 	// PairLimit is the maximum outstanding requests between an ordered
 	// pair of processes (§4.2.1). Zero means unlimited.
 	PairLimit int
@@ -285,16 +288,16 @@ func NewKernel(env *sim.Env, bus *netsim.CSMABus, costs calib.SODACosts) *Kernel
 		PairLimit: 8,
 	}
 	k.def = &kgroup{k: k, idx: -1, env: env, bus: bus, procs: k.procs, nextProc: 1, nextName: 1, nextReq: 1, stride: 1}
-	// Pre-create every instrument touched mid-run: the metrics registry
-	// is unlocked, so lazily inserting from concurrently executing
-	// groups would race on the name map.
-	for _, name := range []string{
-		obs.MKernelRequests, obs.MKernelAccepts, obs.MKernelInterrupts,
-		obs.MKernelDiscovers, obs.MKernelBroadcasts, obs.MKernelRetries,
-		obs.MKernelBytes,
-	} {
-		k.rec.Counter(name)
-	}
+	// Create every instrument touched mid-run up front: the metrics
+	// registry is unlocked, so lazily inserting from concurrently
+	// executing groups would race on the name map.
+	k.cRequests = k.rec.Counter(obs.MKernelRequests)
+	k.cAccepts = k.rec.Counter(obs.MKernelAccepts)
+	k.cInterrupts = k.rec.Counter(obs.MKernelInterrupts)
+	k.cDiscovers = k.rec.Counter(obs.MKernelDiscovers)
+	k.cBroadcasts = k.rec.Counter(obs.MKernelBroadcasts)
+	k.cRetries = k.rec.Counter(obs.MKernelRetries)
+	k.cBytes = k.rec.Counter(obs.MKernelBytes)
 	return k
 }
 
@@ -533,7 +536,7 @@ func (pr *Process) Advertise(p *sim.Proc, n Name) {
 		})
 	}
 	for _, r := range pr.pendingFor(n) {
-		pr.k.rec.Counter(obs.MKernelRetries).Inc()
+		pr.k.cRetries.Inc()
 		pr.deliverRequest(r)
 	}
 }
@@ -605,7 +608,7 @@ func (pr *Process) raise(ir Interrupt) {
 		// actually sees the completion (see Accept).
 		delete(pr.outbound, ir.Req)
 	}
-	pr.k.rec.Counter(obs.MKernelInterrupts).Inc()
+	pr.k.cInterrupts.Inc()
 	pr.handler(ir)
 }
 
@@ -616,7 +619,7 @@ func (pr *Process) raise(ir Interrupt) {
 // interrupt. The requesting user can proceed meanwhile.
 func (pr *Process) Request(p *sim.Proc, to ProcID, name Name, oob OOB, data []byte, recvBytes int) (ReqID, Status) {
 	charge(p, pr.k.costs.ClientCall)
-	pr.k.rec.Counter(obs.MKernelRequests).Inc()
+	pr.k.cRequests.Inc()
 	target, ok := pr.g.findProc(to)
 	if !ok || target.g != pr.g {
 		// A target outside the partition group is unreachable: groups are
@@ -707,7 +710,7 @@ func (pr *Process) Accept(p *sim.Proc, id ReqID, oob OOB, data []byte, recvBytes
 	// keep answering true across the accept→interrupt window, or a hint
 	// timeout firing inside it would misread a successful transfer as a
 	// stale hint and re-post a put that was already taken.
-	pr.k.rec.Counter(obs.MKernelAccepts).Inc()
+	pr.k.cAccepts.Inc()
 
 	// Transfer sizes: the smaller of the two parties' declarations.
 	toAccepter := r.data
@@ -719,7 +722,7 @@ func (pr *Process) Accept(p *sim.Proc, id ReqID, oob OOB, data []byte, recvBytes
 		toRequester = toRequester[:r.recvBytes]
 	}
 	n := len(toAccepter) + len(toRequester)
-	pr.k.rec.Counter(obs.MKernelBytes).Add(int64(n))
+	pr.k.cBytes.Add(int64(n))
 
 	copyCost := sim.Duration(n) * pr.k.costs.PerByte
 	reply := make([]byte, len(toRequester))
@@ -747,8 +750,8 @@ func (pr *Process) Accept(p *sim.Proc, id ReqID, oob OOB, data []byte, recvBytes
 // first answer (or the discover timeout). The broadcast is unreliable:
 // each advertiser independently misses it with the bus's loss rate.
 func (pr *Process) Discover(p *sim.Proc, n Name) (ProcID, Status) {
-	pr.k.rec.Counter(obs.MKernelDiscovers).Inc()
-	pr.k.rec.Counter(obs.MKernelBroadcasts).Inc()
+	pr.k.cDiscovers.Inc()
+	pr.k.cBroadcasts.Inc()
 	if pr.k.rec.Active() {
 		pr.k.rec.EmitEnv(pr.g.env, obs.Event{
 			Kind: obs.KindDiscover, Proc: int(pr.id),

@@ -44,10 +44,12 @@
 // A System is single-threaded: one System (and everything reachable
 // from it — Threads, Ends, its metrics) must be driven by one
 // goroutine-tree at a time, and Run is not safe to call concurrently on
-// the same System. Distinct Systems, however, share no mutable state —
-// no package-level variables, no global clocks or random sources (every
-// System carries its own seeded generator and virtual clock) — so any
-// number of Systems may run concurrently on separate goroutines. This
+// the same System. Distinct Systems, however, share no simulation
+// state — no global clocks or random sources (every System carries its
+// own seeded generator and virtual clock); the only thing they share is
+// the mutex-guarded pool of idle coroutine carriers their processes and
+// threads run on — so any number of Systems may run concurrently on
+// separate goroutines. This
 // "one System per goroutine-tree, many Systems in parallel" contract is
 // what the lynx/sweep harness exploits to fan replicated simulations
 // across cores while keeping each run bit-for-bit deterministic in its

@@ -3,8 +3,10 @@ package lynx_test
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
+	"repro/internal/sim"
 	"repro/lynx"
 )
 
@@ -250,5 +252,36 @@ func TestRunForHorizon(t *testing.T) {
 	}
 	if sys.Now() > lynx.Time(101*lynx.Millisecond) {
 		t.Fatalf("ran past horizon: %v", sys.Now())
+	}
+}
+
+// Every Process and thread of a completed System hands its coroutine
+// carrier back, so thousands of Systems in a row leave at most the
+// carrier pool's idle goroutines behind.
+func TestSystemsReturnCarriers(t *testing.T) {
+	subs := []lynx.Substrate{lynx.Charlotte, lynx.SODA, lynx.Chrysalis, lynx.Ideal}
+	start := runtime.NumGoroutine()
+	for i := 0; i < 2000; i++ {
+		sys := lynx.NewSystem(lynx.Config{Substrate: subs[i%len(subs)], Seed: uint64(i)})
+		client := sys.Spawn("client", func(th *lynx.Thread, boot []*lynx.End) {
+			for j := 0; j < 3; j++ {
+				if _, err := th.Connect(boot[0], "echo", lynx.Msg{Data: []byte("x")}); err != nil {
+					t.Errorf("Connect: %v", err)
+				}
+			}
+			th.Destroy(boot[0])
+		})
+		server := sys.Spawn("server", func(th *lynx.Thread, boot []*lynx.End) {
+			th.Serve(boot[0], func(st *lynx.Thread, req *lynx.Request) {
+				st.Reply(req, lynx.Msg{Data: req.Data()})
+			})
+		})
+		sys.Join(client, server)
+		if err := sys.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := runtime.NumGoroutine(); n > start+sim.CarrierPoolCap {
+		t.Fatalf("%d goroutines after 2000 Systems, started with %d; carrier pool cap %d", n, start, sim.CarrierPoolCap)
 	}
 }
