@@ -13,7 +13,7 @@
 // (PR 2) and is never touched by -update, so every future run shows the
 // cumulative speedup; the current section is the regression reference.
 //
-// It also sweeps the conservative parallel engine (sim.EnterParallel)
+// It also sweeps the partitioned engine (sim.EnterParallel)
 // over a partitioned timer workload at 1, 2, and 4 workers and records
 // the events/s per worker count as the "scaling" section. Wall-clock
 // scaling is hardware-dependent, so the >= 2x-at-4-workers assertion
@@ -128,10 +128,10 @@ var benches = []bench{
 }
 
 // Parallel-scaling workload shape: independent groups of procs looping
-// on short timers — the partitionable topology class the conservative
+// on short timers — the partitionable topology class the partitioned
 // engine accelerates. 8 groups x 4 procs x 30k delay events per proc
 // keeps a sweep under a second per worker count while dwarfing the
-// per-window barrier cost.
+// per-run goroutine fan-out cost.
 const (
 	scalingGroups        = 8
 	scalingProcsPerGroup = 4
@@ -140,13 +140,13 @@ const (
 	// versus 1 (only checkable on >= 4 CPUs).
 	minScaling = 2.0
 	// Connected-topology workload: a full lynx System on the Charlotte
-	// token ring — a CONNECTED shared medium, partitioned into
-	// per-group segments by the finite MinLatency bound — with 8
-	// client/server pairs each shipping connOpsPerClient RPCs. This is
-	// the finite-lookahead path end to end (kernel, binding, medium
-	// segments), not just the bare timer engine, so its scaling floor
-	// is lower: protocol work serializes on per-shard medium
-	// reservations that the timer workload never touches.
+	// token ring — a CONNECTED shared medium, split into per-group
+	// segments — with 8 client/server pairs (disjoint boot components)
+	// each shipping connOpsPerClient RPCs. This is the partitioned path
+	// end to end (kernel, binding, medium segments), not just the bare
+	// timer engine, so its scaling floor is lower: protocol work
+	// serializes on per-shard medium reservations that the timer
+	// workload never touches.
 	connGroups       = 8
 	connOpsPerClient = 400
 	minConnScaling   = 1.5
@@ -157,7 +157,7 @@ var scalingWorkers = []int{1, 2, 4}
 // scalingMeasurement records the parallel-engine sweep: events/s per
 // worker count plus the gate outcome on the recording machine
 // ("checked" or "SKIP (n CPU)"). The connected_* fields are the same
-// sweep over the finite-lookahead token-ring workload (lynx RPCs/s per
+// sweep over the partitioned token-ring workload (lynx RPCs/s per
 // worker count).
 type scalingMeasurement struct {
 	EventsPerSec  map[string]float64 `json:"events_per_sec"`
@@ -200,10 +200,10 @@ func runScaling(workers int) float64 {
 
 // runScalingConnected times the connected-topology workload at the
 // given worker count and returns wall-clock RPCs/s (best of three).
-// The System partitions because the boot graph has connGroups
-// components and the token ring's MinLatency licenses finite-lookahead
-// segments — a serial collapse here would silently turn this into a
-// measurement of nothing, so the partition is asserted.
+// The System partitions because the boot graph has connGroups disjoint
+// components, each driving its own token-ring segment — a serial
+// collapse here would silently turn this into a measurement of
+// nothing, so the partition is asserted.
 func runScalingConnected(workers int) float64 {
 	best := 0.0
 	for try := 0; try < 3; try++ {

@@ -239,11 +239,11 @@ func NewKernel(env *sim.Env, bp *netsim.Backplane, costs calib.ChrysalisCosts) *
 
 // Partition splits the kernel into one group per shard env for a
 // conservative parallel run: group i's processes run on envs[i] and
-// charge remote accesses to bps[i] (its per-group backplane segment).
-// Ids allocated from here on are strided per group, so mid-run
-// allocation stays deterministic at any worker count. Call before the
-// run starts, then AssignGroup every process.
-func (k *Kernel) Partition(envs []*sim.Env, bps []*netsim.Backplane) {
+// charge remote accesses to bps[i] (its per-group backplane segment,
+// from Backplane.Partition). Ids allocated from here on are strided per
+// group, so mid-run allocation stays deterministic at any worker count.
+// Call before the run starts, then AssignGroup every process.
+func (k *Kernel) Partition(envs []*sim.Env, bps []netsim.Network) {
 	if len(envs) != len(bps) {
 		panic("chrysalis: Partition needs one backplane segment per shard env")
 	}
@@ -254,7 +254,7 @@ func (k *Kernel) Partition(envs []*sim.Env, bps []*netsim.Backplane) {
 	k.groups = make([]*kgroup, stride)
 	for i := range envs {
 		k.groups[i] = &kgroup{
-			k: k, idx: i, env: envs[i], bp: bps[i],
+			k: k, idx: i, env: envs[i], bp: bps[i].(*netsim.Backplane),
 			objects: make(map[ObjName]*memObject),
 			events:  make(map[EventName]*eventBlock),
 			queues:  make(map[QueueName]*dualQueue),

@@ -17,33 +17,23 @@
 //
 // # Parallel-execution coupling
 //
-// The conservative parallel engine (sim.EnterParallel) partitions procs
-// into groups and needs two facts from a network model:
-//
-//   - A lookahead lower bound: MinLatency reports the smallest possible
-//     delay between initiating a transfer and any remote effect. For a
-//     model with per-frame serialization this is the zero-payload frame
-//     time; it is a sound conservative window width because no message
-//     can influence another node sooner.
-//   - Whether the medium couples otherwise-independent node groups. As
-//     built, the ring and bus do: every SendTime call reads and writes
-//     one shared busyUntil reservation (and the bus draws from a shared
-//     rng when found busy). Partition splits that shared state into
-//     per-group SEGMENTS — clones sharing the parent's configuration but
-//     each carrying its own occupancy reservation, its own rng stream
-//     (forked from the parent in segment-index order, so the assignment
-//     of streams to groups is a pure function of the partition, not of
-//     worker scheduling), its own traffic counters, and its own fault
-//     hook slot. A group that only ever talks to itself then touches
-//     only its own segment, which is exactly the case the run-time
-//     layer's partitioner arranges: groups are connected components of
-//     the boot link graph, and processes in different components never
-//     exchange frames. The finite MinLatency bound is what makes the
-//     decomposition conservative — no un-modeled sub-lookahead coupling
-//     exists between segments — and the parent's Stats() aggregates its
-//     own counters with every segment's, so whole-run totals are
-//     unchanged (read it after the run; mid-run aggregation would race
-//     with concurrently-executing segments).
+// The partitioned engine (sim.EnterParallel) runs disjoint proc groups
+// concurrently, and it is sound only if no state couples them. The
+// run-time layer's partitioner arranges the disjointness: groups are
+// connected components of the boot link graph, so processes in
+// different groups never exchange frames. What still couples them is
+// the medium itself — every SendTime call on the ring and bus reads and
+// writes one shared busyUntil reservation, and the bus draws from a
+// shared rng when found busy. Partition splits that shared state into
+// per-group SEGMENTS: clones sharing the parent's configuration but each
+// carrying its own occupancy reservation, its own rng stream (forked
+// from the parent in segment-index order, so the assignment of streams
+// to groups is a pure function of the partition, not of worker
+// scheduling), its own traffic counters, and its own fault hook slot. A
+// group that only ever talks to itself then touches only its own
+// segment. The parent's Stats() aggregates its own counters with every
+// segment's, so whole-run totals are unchanged (read it after the run;
+// mid-run aggregation would race with concurrently-executing segments).
 package netsim
 
 import (
@@ -115,6 +105,10 @@ type Network interface {
 	FaultHook() FaultHook
 	// Stats exposes traffic counters.
 	Stats() *Stats
+	// Partition splits the medium's mutable state into k per-group
+	// segments for a partitioned run (see "Parallel-execution
+	// coupling"); the parent's Stats() aggregates over them.
+	Partition(k int) []Network
 }
 
 // faultable is the embeddable FaultHook slot shared by every network
@@ -231,38 +225,39 @@ func (r *TokenRing) Stats() *Stats {
 	return &r.agg
 }
 
-// Partition splits the ring into k segments for conservative parallel
-// execution: each segment shares the parent's configuration but has its
-// own occupancy reservation, counters, and fault hook slot, so node
-// groups that never exchange frames can drive their segments
-// concurrently. The parent's Stats() aggregates over the segments.
-func (r *TokenRing) Partition(k int) []*TokenRing {
-	segs := make([]*TokenRing, k)
+// Partition implements Network: each segment shares the parent's
+// configuration but has its own occupancy reservation, counters, and
+// fault hook slot, so node groups that never exchange frames can drive
+// their segments concurrently.
+func (r *TokenRing) Partition(k int) []Network {
+	segs := make([]Network, k)
 	for i := range segs {
-		segs[i] = &TokenRing{
+		seg := &TokenRing{
 			Nodes:         r.Nodes,
 			BitRate:       r.BitRate,
 			HopLatency:    r.HopLatency,
 			FrameOverhead: r.FrameOverhead,
 		}
+		r.segs = append(r.segs, seg)
+		segs[i] = seg
 	}
-	r.segs = append(r.segs, segs...)
 	return segs
 }
-
-// MinLatency reports the smallest possible cross-node delay: even with
-// the token in hand, an empty frame still serializes its header and
-// trailer at the link rate.
-func (r *TokenRing) MinLatency() sim.Duration { return r.serialize(0) }
 
 func (r *TokenRing) serialize(nbytes int) sim.Duration {
 	bits := int64(nbytes+r.FrameOverhead) * 8
 	return sim.Duration(bits * int64(sim.Second) / r.BitRate)
 }
 
+// defaultBroadcastLoss is the CSMA bus's broadcast frame loss
+// probability per receiver when no fault hook overrides it (a fault
+// plan's bcast drop rule, fault.BroadcastLoss).
+const defaultBroadcastLoss = 0.01
+
 // CSMABus models SODA's 1 Mbit/s contention bus. Acquisition costs a
 // fixed carrier-sense delay plus exponential-ish backoff when the bus is
-// busy; broadcast frames are unreliable with a configurable loss rate.
+// busy; broadcast frames are unreliable (1% loss per receiver unless a
+// fault hook overrides it).
 type CSMABus struct {
 	faultable
 	m          medium
@@ -270,14 +265,7 @@ type CSMABus struct {
 	SenseDelay sim.Duration
 	Backoff    sim.Duration // mean extra wait when the bus is found busy
 	FrameOver  int
-	// LossRate is the default broadcast frame loss probability per
-	// receiver.
-	//
-	// Deprecated: prefer a fault plan's bcast drop rule
-	// (fault.BroadcastLoss), which overrides this field through the
-	// FaultHook; the field remains as the unfaulted default.
-	LossRate float64
-	rng      *sim.Rand
+	rng        *sim.Rand
 
 	segs []*CSMABus // per-group segments (see Partition)
 	agg  Stats      // cached aggregate for Stats() when segmented
@@ -291,7 +279,6 @@ func NewCSMABus(rng *sim.Rand) *CSMABus {
 		SenseDelay: 50 * sim.Microsecond,
 		Backoff:    400 * sim.Microsecond,
 		FrameOver:  12,
-		LossRate:   0.01,
 		rng:        rng,
 	}
 }
@@ -321,11 +308,11 @@ func (b *CSMABus) BroadcastTime(now sim.Time, src NodeID, nbytes int) sim.Durati
 }
 
 // BroadcastDelivers implements Network. An installed fault hook's
-// BroadcastLoss overrides (replaces) the default LossRate; either way
+// BroadcastLoss overrides (replaces) the default 1% loss; either way
 // exactly one rng draw is consumed per reception, so installing a hook
 // that mirrors the default rate leaves the run byte-identical.
 func (b *CSMABus) BroadcastDelivers(NodeID) bool {
-	rate := b.LossRate
+	rate := defaultBroadcastLoss
 	if b.hook != nil {
 		if r := b.hook.BroadcastLoss(); r >= 0 {
 			rate = r
@@ -348,33 +335,27 @@ func (b *CSMABus) Stats() *Stats {
 	return &b.agg
 }
 
-// Partition splits the bus into k segments for conservative parallel
-// execution: each segment shares the parent's configuration but carries
-// its own occupancy reservation, counters, fault hook slot, and — the
-// part the byte-identity contract leans on — its own rng stream, forked
-// from the parent's in segment-index order so the stream a group draws
-// backoff jitter and broadcast losses from depends only on the
-// partition, never on worker scheduling. The parent's Stats()
-// aggregates over the segments.
-func (b *CSMABus) Partition(k int) []*CSMABus {
-	segs := make([]*CSMABus, k)
+// Partition implements Network: each segment shares the parent's
+// configuration but carries its own occupancy reservation, counters,
+// fault hook slot, and — the part the byte-identity contract leans on —
+// its own rng stream, forked from the parent's in segment-index order
+// so the stream a group draws backoff jitter and broadcast losses from
+// depends only on the partition, never on worker scheduling.
+func (b *CSMABus) Partition(k int) []Network {
+	segs := make([]Network, k)
 	for i := range segs {
-		segs[i] = &CSMABus{
+		seg := &CSMABus{
 			BitRate:    b.BitRate,
 			SenseDelay: b.SenseDelay,
 			Backoff:    b.Backoff,
 			FrameOver:  b.FrameOver,
-			LossRate:   b.LossRate,
 			rng:        b.rng.Fork(),
 		}
+		b.segs = append(b.segs, seg)
+		segs[i] = seg
 	}
-	b.segs = append(b.segs, segs...)
 	return segs
 }
-
-// MinLatency reports the smallest possible cross-node delay: carrier
-// sense on an idle bus plus the zero-payload frame time.
-func (b *CSMABus) MinLatency() sim.Duration { return b.SenseDelay + b.serialize(0) }
 
 func (b *CSMABus) serialize(nbytes int) sim.Duration {
 	bits := int64(nbytes+b.FrameOver) * 8
@@ -436,35 +417,15 @@ func (bp *Backplane) Stats() *Stats {
 	return &bp.agg
 }
 
-// Partition splits the backplane into k segments for conservative
-// parallel execution. The switch model is contention-free, so the only
-// shared mutable state is the counters and the fault hook slot; each
-// segment gets its own of both. The parent's Stats() aggregates over
-// the segments.
-func (bp *Backplane) Partition(k int) []*Backplane {
-	segs := make([]*Backplane, k)
+// Partition implements Network. The switch model is contention-free,
+// so the only shared mutable state is the counters and the fault hook
+// slot; each segment gets its own of both.
+func (bp *Backplane) Partition(k int) []Network {
+	segs := make([]Network, k)
 	for i := range segs {
-		segs[i] = &Backplane{SetupCost: bp.SetupCost, PerByte: bp.PerByte}
+		seg := &Backplane{SetupCost: bp.SetupCost, PerByte: bp.PerByte}
+		bp.segs = append(bp.segs, seg)
+		segs[i] = seg
 	}
-	bp.segs = append(bp.segs, segs...)
 	return segs
-}
-
-// MinLatency reports the smallest possible cross-node delay: the
-// per-transfer switch setup cost.
-func (bp *Backplane) MinLatency() sim.Duration { return bp.SetupCost }
-
-// MinLatency reports a conservative lookahead for n: the smallest delay
-// between initiating any transfer and its remote effect, or 0 when the
-// model does not expose one (0 disables windowed parallelism). A
-// positive MinLatency is what licenses splitting the medium into
-// per-group segments (Partition): it certifies that the model has no
-// sub-lookahead coupling between node groups beyond the occupancy and
-// rng state the segments privatize.
-func MinLatency(n Network) sim.Duration {
-	type minLatency interface{ MinLatency() sim.Duration }
-	if m, ok := n.(minLatency); ok {
-		return m.MinLatency()
-	}
-	return 0
 }

@@ -107,7 +107,7 @@ func (r *Recorder) Emit(ev Event) {
 // EmitEnv is Emit reading the clock of env instead of the recorder's
 // own env. Instrumented code executing on a shard env of a parallel
 // partition emits through the shard (whose clock is the one advancing);
-// the event is then sequenced into the shard's merge log so sink output
+// the event is then sequenced into the shard's replay log so sink output
 // is byte-identical to the serial run at any worker count.
 func (r *Recorder) EmitEnv(env *sim.Env, ev Event) {
 	if !r.Active() {

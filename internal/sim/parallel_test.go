@@ -210,84 +210,8 @@ func TestParallelUnobserved(t *testing.T) {
 	}
 	for _, sh := range shards {
 		if len(sh.sh.recs) != 0 {
-			t.Fatal("unobserved run kept merge logs")
+			t.Fatal("unobserved run kept replay logs")
 		}
-	}
-}
-
-// buildRing wires groups into a SendGroup ring: each group's proc sends
-// a message to the next group at exactly the lookahead delay, the
-// tightest legal coupling.
-func buildRing(envs []*Env, la Duration) {
-	for g := range envs {
-		g := g
-		env := envs[g]
-		dst := envs[(g+1)%len(envs)]
-		env.Spawn(fmt.Sprintf("ring%d", g), func(p *Proc) {
-			for i := 0; i < 5; i++ {
-				p.Delay(10 * Microsecond)
-				i := i
-				env.SendGroup(dst, la, func() {
-					dst.Trace("msg", "g%d sent #%d", g, i)
-				})
-			}
-		})
-	}
-}
-
-// TestParallelLookaheadWorkerInvariance pins the finite-lookahead mode:
-// cross-group messages exist, and the merged trace is identical at any
-// worker count.
-func TestParallelLookaheadWorkerInvariance(t *testing.T) {
-	const groups = 4
-	const la = 50 * Microsecond
-	run := func(workers int) []string {
-		root := NewEnv(9)
-		tr := &fullTracer{}
-		root.SetTracer(tr)
-		shards := root.EnterParallel(ParallelOptions{Groups: groups, Workers: workers, Lookahead: la})
-		buildRing(shards, la)
-		if err := root.Run(); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		return tr.lines
-	}
-	want := run(1)
-	delivered := 0
-	for _, l := range want {
-		if strings.Contains(l, "sent #") {
-			delivered++
-		}
-	}
-	if delivered != groups*5 {
-		t.Fatalf("delivered %d ring messages, want %d", delivered, groups*5)
-	}
-	for _, workers := range []int{2, 4} {
-		diffLines(t, fmt.Sprintf("ring workers=%d", workers), want, run(workers))
-	}
-}
-
-func TestSendGroupRejectsShortDelay(t *testing.T) {
-	root := NewEnv(1)
-	shards := root.EnterParallel(ParallelOptions{Groups: 2, Workers: 2, Lookahead: 10 * Microsecond})
-	shards[0].Spawn("sender", func(p *Proc) {
-		shards[0].SendGroup(shards[1], 5*Microsecond, func() {})
-	})
-	err := root.Run()
-	if err == nil || !strings.Contains(err.Error(), "below partition lookahead") {
-		t.Fatalf("short SendGroup delay: err = %v", err)
-	}
-}
-
-func TestSendGroupRejectsZeroLookahead(t *testing.T) {
-	root := NewEnv(1)
-	shards := root.EnterParallel(ParallelOptions{Groups: 2, Workers: 2})
-	shards[0].Spawn("sender", func(p *Proc) {
-		shards[0].SendGroup(shards[1], 5*Microsecond, func() {})
-	})
-	err := root.Run()
-	if err == nil || !strings.Contains(err.Error(), "without a finite lookahead") {
-		t.Fatalf("SendGroup without lookahead: err = %v", err)
 	}
 }
 
@@ -372,56 +296,6 @@ func TestParallelMidRunPIDsDeterministic(t *testing.T) {
 			t.Fatalf("workers=%d mid-run pids %v, want %v", workers, got, want)
 		}
 	}
-}
-
-// TestGrowPartition pins the repartition hook: new shards join between
-// runs, run their procs, and pid strides are re-based without
-// collisions.
-func TestGrowPartition(t *testing.T) {
-	root := NewEnv(9)
-	shards := root.EnterParallel(ParallelOptions{Groups: 2, Workers: 2})
-	pids := make([]int, 6)
-	spawnPair := func(env *Env, slot int, tag string) {
-		env.Spawn("p"+tag, func(p *Proc) {
-			p.Delay(Microsecond)
-			c := env.Spawn("c"+tag, func(p *Proc) {})
-			pids[slot] = c.ID()
-		})
-	}
-	for i, env := range shards {
-		spawnPair(env, i, fmt.Sprintf("a%d", i))
-	}
-	if err := root.Run(); err != nil {
-		t.Fatal(err)
-	}
-	grown := root.GrowPartition(2)
-	if len(grown) != 2 {
-		t.Fatalf("GrowPartition returned %d envs", len(grown))
-	}
-	for i, env := range grown {
-		spawnPair(env, 2+i, fmt.Sprintf("b%d", i))
-	}
-	for i, env := range shards {
-		spawnPair(env, 4+i, fmt.Sprintf("c%d", i))
-	}
-	if err := root.Run(); err != nil {
-		t.Fatal(err)
-	}
-	seen := map[int]bool{}
-	for _, id := range pids {
-		if id == 0 || seen[id] {
-			t.Fatalf("pids not unique after GrowPartition: %v", pids)
-		}
-		seen[id] = true
-	}
-	func() {
-		defer func() {
-			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "not a partitioned root") {
-				t.Fatalf("GrowPartition on unpartitioned env: recover = %v", r)
-			}
-		}()
-		NewEnv(1).GrowPartition(1)
-	}()
 }
 
 // TestParallelShardPIDsMatchSerial pins that pids are assigned in

@@ -115,10 +115,6 @@ type Env struct {
 	// partition. See parallel.go.
 	sh  *shardState
 	par *parCoord
-	// overHorizon stashes the timer a windowed (shard) run popped
-	// beyond its horizon, so the next window can re-arm it. A serial
-	// RunUntil abandons that timer, exactly as before.
-	overHorizon *timer
 }
 
 // NewEnv creates an environment whose random source is seeded with seed.
@@ -146,10 +142,10 @@ func (e *Env) Trace(source, event string, args ...any) {
 		return
 	}
 	if sh := e.sh; sh != nil && sh.logging && sh.co.running {
-		// Defer to the merge replay so the serial interleave is
-		// reproduced exactly (see parallel.go).
+		// Defer to the replay so the serial interleave is reproduced
+		// exactly (see parallel.go).
 		tr, now, msg := e.tracer, e.now, fmt.Sprintf(event, args...)
-		sh.emit(now, func() { tr.Event(now, source, msg) })
+		sh.emit(func() { tr.Event(now, source, msg) })
 		return
 	}
 	e.tracer.Event(e.now, source, fmt.Sprintf(event, args...))
@@ -185,7 +181,7 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 func (e *Env) allocPID() int {
 	if e.par != nil {
 		panic(fmt.Sprintf(
-			"sim: Spawn on the partitioned root env (%d shards); a mid-run launch lives on its creator's home shard — Spawn on that shard env (see Env.EnterParallel / Env.GrowPartition)",
+			"sim: Spawn on the partitioned root env (%d shards); a mid-run launch lives on its creator's home shard — Spawn on that shard env (see Env.EnterParallel)",
 			len(e.par.shards)))
 	}
 	if sh := e.sh; sh != nil {
@@ -225,7 +221,7 @@ func (e *Env) At(t Time, fn func()) {
 func (e *Env) schedFunc(t Time, fn func()) {
 	if e.par != nil {
 		panic(fmt.Sprintf(
-			"sim: timer on the partitioned root env (%d shards); schedule on the home shard env that owns the affected procs — root timers would race the shard windows (see Env.EnterParallel / Env.GrowPartition)",
+			"sim: timer on the partitioned root env (%d shards); schedule on the home shard env that owns the affected procs — root timers would race the concurrently running shards (see Env.EnterParallel)",
 			len(e.par.shards)))
 	}
 	tm := e.allocTimer()
@@ -331,18 +327,12 @@ func (e *Env) RunUntil(limit Time) error {
 	}
 }
 
-// runCore executes scheduling decisions until the run (or, for a shard
-// env, the current window) is over; e.end records why it stopped.
+// runCore executes scheduling decisions until the run is over; e.end
+// records why it stopped.
 func (e *Env) runCore(limit Time) {
 	e.limit = limit
 	if sh := e.sh; sh != nil {
 		sh.inBlock = false
-		if t := e.overHorizon; t != nil {
-			// Re-arm the timer the previous window popped beyond its
-			// bound.
-			e.overHorizon = nil
-			e.timers.push(t)
-		}
 	}
 	// The resume loop: run each proc until it parks (having chosen its
 	// successor) or returns (the loop then chooses). A nil successor
@@ -396,12 +386,7 @@ func (e *Env) next() *Proc {
 				continue // discard without advancing the clock
 			}
 			if e.limit >= 0 && t.at > e.limit {
-				if e.sh != nil {
-					// A windowed run re-arms the timer at the next
-					// window; a serial RunUntil abandons it along with
-					// the procs.
-					e.overHorizon = t
-				}
+				// Abandoned along with the procs still live.
 				e.end = endLimit
 				return nil
 			}
@@ -521,7 +506,7 @@ type timer struct {
 	proc      *Proc
 	cancelled bool
 	nextFree  *timer
-	// logID identifies this timer in a shard's merge log (parallel.go);
+	// logID identifies this timer in a shard's replay log (parallel.go);
 	// meaningful only while the owning shard is logging.
 	logID int
 }

@@ -303,11 +303,12 @@ func NewKernel(env *sim.Env, bus *netsim.CSMABus, costs calib.SODACosts) *Kernel
 
 // Partition splits the kernel into one group per shard env for a
 // conservative parallel run: group i's processes run on envs[i] and
-// transmit over buses[i] (its per-group medium segment). Ids allocated
-// from here on are strided per group, so mid-run NewName/Request/
-// NewProcessIn stay deterministic at any worker count. Call before the
-// run starts, then AssignGroup every process.
-func (k *Kernel) Partition(envs []*sim.Env, buses []*netsim.CSMABus) {
+// transmit over buses[i] (its per-group bus segment, from
+// CSMABus.Partition). Ids allocated from here on are strided per group,
+// so mid-run NewName/Request/NewProcessIn stay deterministic at any
+// worker count. Call before the run starts, then AssignGroup every
+// process.
+func (k *Kernel) Partition(envs []*sim.Env, buses []netsim.Network) {
 	if len(envs) != len(buses) {
 		panic("soda: Partition needs one bus segment per shard env")
 	}
@@ -318,7 +319,7 @@ func (k *Kernel) Partition(envs []*sim.Env, buses []*netsim.CSMABus) {
 	k.groups = make([]*kgroup, stride)
 	for i := range envs {
 		k.groups[i] = &kgroup{
-			k: k, idx: i, env: envs[i], bus: buses[i],
+			k: k, idx: i, env: envs[i], bus: buses[i].(*netsim.CSMABus),
 			procs:    make(map[ProcID]*Process),
 			nextProc: k.def.nextProc + ProcID(i),
 			nextName: k.def.nextName + uint64(i),

@@ -122,7 +122,7 @@ func (e Restart) validate() error {
 // drops are repaired by the kernel's retransmission machinery (the
 // frame is lost, the operation is delayed); a Bcast match instead
 // overrides the medium's default broadcast loss rate (replacing, not
-// compounding with, netsim.CSMABus.LossRate). From/Until bound the
+// compounding with, the CSMA bus's 1% default). From/Until bound the
 // active window; Until 0 means forever, which requires Rate < 1 so
 // retransmission terminates.
 type Drop struct {
@@ -355,10 +355,8 @@ func (p *Plan) Churns() bool {
 }
 
 // BroadcastLoss builds the one-rule plan that overrides the medium's
-// broadcast loss rate — the declarative replacement for setting
-// netsim.CSMABus.LossRate directly. Point-to-point frames are
-// untouched, so a run under BroadcastLoss(r) is byte-identical to one
-// under the deprecated raw field.
+// broadcast loss rate — the only way to change the CSMA bus's 1%
+// default. Point-to-point frames are untouched.
 func BroadcastLoss(rate float64) *Plan {
 	return &Plan{Events: []Event{Drop{Match: Match{Bcast: true}, Rate: rate}}}
 }

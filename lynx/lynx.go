@@ -59,16 +59,14 @@
 //
 // When the boot-join graph splits into two or more connected
 // components, the System partitions the run: each component becomes one
-// shard of a conservative parallel discrete-event engine
-// (sim.EnterParallel), with its own event loop, its own segment of the
-// network medium, and its own slice of the kernel's state. What
-// licenses the split on the kernel substrates is finite lookahead: the
-// medium's MinLatency (token-ring serialization, CSMA sense delay,
-// backplane setup cost) lower-bounds every cross-node interaction, and
-// since boot components never share a link, groups can only couple
-// through medium state — which the per-group segments privatize
-// (occupancy, counters, forked rng streams). The Ideal fabric, having
-// no shared medium, is trivially partitionable.
+// shard of the partitioned discrete-event engine (sim.EnterParallel),
+// with its own event loop, its own segment of the network medium, and
+// its own slice of the kernel's state. What licenses the split is
+// disjointness: boot components never share a link, so processes in
+// different components never exchange a message, and the only state
+// they could still share — the medium's occupancy, counters, and rng —
+// is split into per-group segments (netsim.Network.Partition). The
+// Ideal fabric, having no shared medium, splits only its id space.
 //
 // Partitioning happens whenever the topology is eligible, at every
 // SimWorkers value; Config.SimWorkers only caps how many shards execute
@@ -227,11 +225,10 @@ type Config struct {
 	BufCap int
 	// SimWorkers caps how many event-loop shards execute concurrently
 	// inside this System. The run is partitioned into shards whenever
-	// the boot-join graph has >= 2 connected components and the medium
-	// has finite lookahead (netsim.MinLatency > 0, true of every
-	// substrate under default calibration) — independent of this value;
-	// SimWorkers <= 1 (the default) then runs the shards sequentially
-	// on one OS thread while > 1 runs up to that many concurrently.
+	// the boot-join graph has >= 2 connected components — independent
+	// of this value; SimWorkers <= 1 (the default) then runs the shards
+	// sequentially on one OS thread while > 1 runs up to that many
+	// concurrently.
 	// SimWorkers never changes results: same seed ⇒ byte-identical
 	// traces and metrics at every worker count, so it is excluded from
 	// sweep cache keys.
@@ -260,15 +257,6 @@ type Config struct {
 	Charlotte CharlotteOptions
 	SODA      SODAOptions
 	Chrysalis ChrysalisOptions
-
-	// Tuned applies the Chrysalis §5.3 "30-40%" optimizations (E9).
-	//
-	// Deprecated: set Chrysalis.Tuned instead.
-	Tuned bool
-	// SODAPairLimit caps outstanding requests between one process pair.
-	//
-	// Deprecated: set SODA.PairLimit instead.
-	SODAPairLimit int
 }
 
 // System is one simulated machine running LYNX processes.
@@ -713,15 +701,14 @@ func (s *System) runtimeCosts() calib.LynxRuntimeCosts {
 }
 
 // planParallel decides whether this run is partitionable and, when it
-// is, splits it. Eligibility is topology-and-medium only: at least two
-// boot-join connected components, over a medium with finite lookahead
-// (netsim.MinLatency > 0 certifies that groups can only couple through
-// the state the per-group segments privatize; the Ideal fabric has no
-// medium and is trivially eligible). SimWorkers does NOT gate the
-// split — a partitioned run at Workers=1 executes its shards
-// sequentially — because the partition fixes id allocators, rng
-// streams, and fault schedules, and those must be identical at every
-// worker count for the byte-identity contract to hold.
+// is, splits it. Eligibility is topology only: at least two boot-join
+// connected components. Components never exchange a message, so the
+// only state they share is the medium's, which every substrate can
+// split into per-group segments. SimWorkers does NOT gate the split —
+// a partitioned run at Workers=1 executes its shards sequentially —
+// because the partition fixes id allocators, rng streams, and fault
+// schedules, and those must be identical at every worker count for the
+// byte-identity contract to hold.
 //
 // When eligible it partitions the env into one shard per component,
 // splits the medium into per-group segments, partitions the kernel's
@@ -730,9 +717,6 @@ func (s *System) runtimeCosts() calib.LynxRuntimeCosts {
 func (s *System) planParallel() func(*ProcRef) *sim.Env {
 	serial := func(*ProcRef) *sim.Env { return s.env }
 	if len(s.specs) < 2 {
-		return serial
-	}
-	if s.cfg.Substrate != Ideal && netsim.MinLatency(s.net) <= 0 {
 		return serial
 	}
 	// Union-find over the boot-join edges.
@@ -777,8 +761,6 @@ func (s *System) planParallel() func(*ProcRef) *sim.Env {
 	shards := s.env.EnterParallel(sim.ParallelOptions{
 		Groups:  k,
 		Workers: workers,
-		// Lookahead 0: components never interact, windows are unbounded.
-		Lookahead: 0,
 		// Observers (obs sinks, exporters) attach between NewSystem and
 		// Run; consult the recorder at run time so they still replay in
 		// serial order.
@@ -797,28 +779,16 @@ func (s *System) planParallel() func(*ProcRef) *sim.Env {
 		s.groupNode[g] = s.nextNode
 	}
 	// Split the medium into per-group segments and shard the kernel.
+	if s.net != nil {
+		s.segs = s.net.Partition(k)
+	}
 	switch s.cfg.Substrate {
 	case Charlotte:
-		rings := s.net.(*netsim.TokenRing).Partition(k)
-		s.segs = make([]netsim.Network, k)
-		for i, r := range rings {
-			s.segs[i] = r
-		}
 		s.charK.Partition(shards, s.segs)
 	case SODA:
-		buses := s.net.(*netsim.CSMABus).Partition(k)
-		s.segs = make([]netsim.Network, k)
-		for i, b := range buses {
-			s.segs[i] = b
-		}
-		s.sodaK.Partition(shards, buses)
+		s.sodaK.Partition(shards, s.segs)
 	case Chrysalis:
-		bps := s.net.(*netsim.Backplane).Partition(k)
-		s.segs = make([]netsim.Network, k)
-		for i, bp := range bps {
-			s.segs[i] = bp
-		}
-		s.chrK.Partition(shards, bps)
+		s.chrK.Partition(shards, s.segs)
 	case Ideal:
 		s.fab.Partition(k)
 	}
@@ -1010,21 +980,6 @@ func (p *ProcRef) RuntimeStats() *core.Stats {
 	return p.proc.Stats()
 }
 
-// CharlotteStats returns Charlotte binding counters (nil elsewhere).
-//
-// Deprecated: use p.Stats().Charlotte().
-func (p *ProcRef) CharlotteStats() *chbind.Stats { return p.Stats().Charlotte() }
-
-// SODAStats returns SODA binding counters (nil elsewhere).
-//
-// Deprecated: use p.Stats().SODA().
-func (p *ProcRef) SODAStats() *sodabind.Stats { return p.Stats().SODA() }
-
-// ChrysalisStats returns Chrysalis binding counters (nil elsewhere).
-//
-// Deprecated: use p.Stats().Chrysalis().
-func (p *ProcRef) ChrysalisStats() *chrbind.Stats { return p.Stats().Chrysalis() }
-
 // DebugState renders the process's run-time state (wedge diagnosis).
 func (p *ProcRef) DebugState() string {
 	if p.proc == nil {
@@ -1039,21 +994,6 @@ func (p *ProcRef) Crash() {
 		p.proc.Crash()
 	}
 }
-
-// CharlotteKernelStats returns kernel counters for a Charlotte system.
-//
-// Deprecated: use s.Stats().Charlotte().
-func (s *System) CharlotteKernelStats() *charlotte.Stats { return s.Stats().Charlotte() }
-
-// SODAKernelStats returns kernel counters for a SODA system.
-//
-// Deprecated: use s.Stats().SODA().
-func (s *System) SODAKernelStats() *soda.Stats { return s.Stats().SODA() }
-
-// ChrysalisKernelStats returns kernel counters for a Chrysalis system.
-//
-// Deprecated: use s.Stats().Chrysalis().
-func (s *System) ChrysalisKernelStats() *chrysalis.Stats { return s.Stats().Chrysalis() }
 
 // Obs returns the active substrate's observability recorder: attach
 // exporters (obs.TextExporter, obs.JSONLExporter, obs.ChromeExporter)

@@ -22,7 +22,7 @@ func runFigure1(t *testing.T, sub lynx.Substrate, sink obs.Sink) {
 
 // runFigure1Cfg is runFigure1 with a caller-supplied Config (the
 // determinism tests replay it at several SimWorkers values).
-func runFigure1Cfg(t *testing.T, cfg lynx.Config, sink obs.Sink) {
+func runFigure1Cfg(t *testing.T, cfg lynx.Config, sink obs.Sink) *lynx.System {
 	t.Helper()
 	sub := cfg.Substrate
 	sys := lynx.NewSystem(cfg)
@@ -66,6 +66,7 @@ func runFigure1Cfg(t *testing.T, cfg lynx.Config, sink obs.Sink) {
 	if err := sys.Run(); err != nil {
 		t.Fatalf("%v: run: %v", sub, err)
 	}
+	return sys
 }
 
 // TestJSONLDeterminism: the same seed must produce a byte-identical

@@ -63,8 +63,8 @@ type ChrysalisOptions struct {
 	Tuned bool
 }
 
-// normalized resolves defaults and folds the deprecated top-level
-// aliases into the per-substrate blocks.
+// normalized resolves defaults and the per-substrate BufCap
+// inheritance.
 func (cfg Config) normalized() Config {
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 20
@@ -76,12 +76,6 @@ func (cfg Config) normalized() Config {
 	// results (see Config.SimWorkers), only wall-clock execution.
 	if cfg.SimWorkers <= 0 {
 		cfg.SimWorkers = 1
-	}
-	if cfg.Tuned {
-		cfg.Chrysalis.Tuned = true
-	}
-	if cfg.SODA.PairLimit == 0 {
-		cfg.SODA.PairLimit = cfg.SODAPairLimit
 	}
 	if cfg.Charlotte.BufCap <= 0 {
 		cfg.Charlotte.BufCap = cfg.BufCap

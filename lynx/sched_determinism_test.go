@@ -52,18 +52,20 @@ func compareGolden(t *testing.T, name string, got []byte) {
 // or virtual-time drift in the discrete-event engine shows up here as a
 // byte-level diff, and so would any worker-count dependence (figure 1
 // is a single connected component — nothing to split on any substrate —
-// so every worker count must collapse to the identical serial run).
+// so every worker count must collapse to the identical serial run; this
+// is the negative case of the partition rule checkPartition pins).
 // Regenerate deliberately with -update-golden.
 func TestSchedulerGoldenTraces(t *testing.T) {
 	for _, sub := range []lynx.Substrate{lynx.Charlotte, lynx.SODA, lynx.Chrysalis, lynx.Ideal} {
 		for _, workers := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("%s/w%d", sub, workers), func(t *testing.T) {
+				var got bytes.Buffer
+				sys := runFigure1Cfg(t, lynx.Config{Substrate: sub, Seed: 1, SimWorkers: workers},
+					&obs.JSONLExporter{W: &got})
+				checkPartition(t, sys, workers, false)
 				if *updateGolden && workers != 1 {
 					t.Skip("goldens are recorded at SimWorkers=1")
 				}
-				var got bytes.Buffer
-				runFigure1Cfg(t, lynx.Config{Substrate: sub, Seed: 1, SimWorkers: workers},
-					&obs.JSONLExporter{W: &got})
 				compareGolden(t, "golden_trace_"+sub.String()+".jsonl", got.Bytes())
 			})
 		}
@@ -73,7 +75,7 @@ func TestSchedulerGoldenTraces(t *testing.T) {
 // runEchoTrio runs the parallel-engine acceptance workload: three
 // independent client/server echo pairs — a boot-join graph with three
 // connected components, the shape every substrate partitions (Ideal
-// trivially; the kernels via their media's finite MinLatency). Each
+// trivially; the kernels over per-group medium segments). Each
 // client ships a few round trips with virtual-time pauses so shard
 // clocks interleave nontrivially. Returns the JSONL trace and the
 // finished system for Partitioned/Parallel assertions.
@@ -111,15 +113,17 @@ func runEchoTrio(t *testing.T, cfg lynx.Config) ([]byte, *lynx.System) {
 	return buf.Bytes(), sys
 }
 
-// checkPartition asserts the partition/parallel state the new contract
+// checkPartition asserts the partition/parallel state the contract
 // prescribes: a multi-component topology partitions at EVERY worker
-// count, and shards execute concurrently exactly when SimWorkers > 1.
-func checkPartition(t *testing.T, sys *lynx.System, workers int) {
+// count, a single-component one at none, and shards execute
+// concurrently exactly when the run partitioned and SimWorkers > 1.
+func checkPartition(t *testing.T, sys *lynx.System, workers int, multiComponent bool) {
 	t.Helper()
-	if !sys.Partitioned() {
-		t.Fatalf("Partitioned() = false at SimWorkers=%d, want true (multi-component topology)", workers)
+	if sys.Partitioned() != multiComponent {
+		t.Fatalf("Partitioned() = %v at SimWorkers=%d, want %v (multi-component topology: %v)",
+			sys.Partitioned(), workers, multiComponent, multiComponent)
 	}
-	if wantPar := workers > 1; sys.Parallel() != wantPar {
+	if wantPar := multiComponent && workers > 1; sys.Parallel() != wantPar {
 		t.Fatalf("Parallel() = %v at SimWorkers=%d, want %v", sys.Parallel(), workers, wantPar)
 	}
 }
@@ -128,17 +132,16 @@ func checkPartition(t *testing.T, sys *lynx.System, workers int) {
 // must produce byte-identical JSONL traces at every SimWorkers value,
 // pinned against a golden recorded at SimWorkers=1 (shards driven
 // sequentially). This is the tentpole determinism contract on all four
-// substrates: the kernel substrates partition their shared media into
-// per-group segments bounded by MinLatency (token-ring serialization,
-// CSMA sense delay, backplane setup cost), and the parallel engine's
-// replay reconstructs the exact serial interleave.
+// substrates: the kernel substrates split their shared media into
+// per-group segments, and the parallel engine's replay reconstructs
+// the exact serial interleave.
 func TestParallelWorkerGoldenTraces(t *testing.T) {
 	for _, sub := range []lynx.Substrate{lynx.Charlotte, lynx.SODA, lynx.Chrysalis, lynx.Ideal} {
 		for _, workers := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("%s/w%d", sub, workers), func(t *testing.T) {
 				cfg := lynx.Config{Substrate: sub, Seed: 7, SimWorkers: workers}
 				got, sys := runEchoTrio(t, cfg)
-				checkPartition(t, sys, workers)
+				checkPartition(t, sys, workers, true)
 				if *updateGolden && workers != 1 {
 					t.Skip("goldens are recorded at SimWorkers=1")
 				}
@@ -163,7 +166,7 @@ func TestFaultedWorkerGoldenTraces(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/w%d", sub, workers), func(t *testing.T) {
 				cfg := lynx.Config{Substrate: sub, Seed: 7, SimWorkers: workers, Faults: plan}
 				got, sys := runFaultedTrio(t, cfg)
-				checkPartition(t, sys, workers)
+				checkPartition(t, sys, workers, true)
 				fs := sys.FaultStats()
 				if fs["crash"] != 1 {
 					t.Errorf("crash count = %d, want 1 (stats: %v)", fs["crash"], fs)
