@@ -10,6 +10,7 @@
 package repro
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/expt"
@@ -63,16 +64,23 @@ func BenchmarkE10_HintHeuristics(b *testing.B) { benchExperiment(b, expt.E10) }
 func BenchmarkE11_Fairness(b *testing.B) { benchExperiment(b, expt.E11) }
 
 // benchRPC measures the real (wall-clock) cost of simulated LYNX remote
-// operations on one substrate, and reports the virtual-time RTT as a
-// custom metric (the paper's number).
+// operations on one substrate. Each op builds and runs a whole System
+// of opsPerRun RPCs, so ns/op and allocs/op include System setup and
+// teardown; sim-rpc/s and allocs/sim-rpc spread that total over the
+// RPCs. The virtual-time RTT is reported as a custom metric (the
+// paper's number). For the steady-state allocations of one RPC alone,
+// see lynx's TestRPCAllocBudget.
 func benchRPC(b *testing.B, sub lynx.Substrate, payload int) {
+	const opsPerRun = 10
 	b.ReportAllocs()
 	var virtualMS float64
 	ops := 0
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	mallocs := ms.Mallocs
 	for i := 0; i < b.N; i++ {
 		sys := lynx.NewSystem(lynx.Config{Substrate: sub, Seed: 1})
 		data := make([]byte, payload)
-		const opsPerRun = 10
 		var rtt lynx.Duration
 		c := sys.Spawn("c", func(t *lynx.Thread, boot []*lynx.End) {
 			for j := 0; j < opsPerRun; j++ {
@@ -97,8 +105,11 @@ func benchRPC(b *testing.B, sub lynx.Substrate, payload int) {
 		virtualMS = rtt.Milliseconds()
 		ops += opsPerRun
 	}
+	b.StopTimer()
+	runtime.ReadMemStats(&ms)
 	b.ReportMetric(virtualMS, "virtual-ms/op")
 	b.ReportMetric(float64(ops)/b.Elapsed().Seconds(), "sim-rpc/s")
+	b.ReportMetric(float64(ms.Mallocs-mallocs)/float64(ops), "allocs/sim-rpc")
 }
 
 // BenchmarkRPC_Charlotte_0B: simple remote op, Charlotte (paper: 57 ms).

@@ -124,7 +124,10 @@ var _ core.Capable = (*Transport)(nil)
 
 // endState is the binding's per-link-end protocol state.
 type endState struct {
-	ref     charlotte.EndRef
+	ref charlotte.EndRef
+	// te is ref boxed once, when the end is first seen, so events and
+	// enclosure lists name the end without converting it again.
+	te      core.TransEnd
 	dead    bool
 	wantReq bool
 	wantRep bool
@@ -286,8 +289,7 @@ func (tr *Transport) SetSink(sink func(core.Event), sp *sim.Proc) {
 
 // AdoptBootEnd registers an end assigned before startup (loader wiring).
 func (tr *Transport) AdoptBootEnd(ref charlotte.EndRef) core.TransEnd {
-	tr.ensureEnd(ref)
-	return ref
+	return tr.ensureEnd(ref).te
 }
 
 func (tr *Transport) ensureEnd(ref charlotte.EndRef) *endState {
@@ -295,6 +297,7 @@ func (tr *Transport) ensureEnd(ref charlotte.EndRef) *endState {
 	if !ok {
 		es = &endState{
 			ref:        ref,
+			te:         ref,
 			outbound:   make(map[core.MsgKind]*outMsg),
 			bounceable: make(map[uint64]*outMsg),
 		}
@@ -309,9 +312,7 @@ func (tr *Transport) MakeLink() (core.TransEnd, core.TransEnd, error) {
 	if st != charlotte.OK {
 		return nil, nil, fmt.Errorf("chbind: MakeLink: %v", st)
 	}
-	tr.ensureEnd(e1)
-	tr.ensureEnd(e2)
-	return e1, e2, nil
+	return tr.ensureEnd(e1).te, tr.ensureEnd(e2).te, nil
 }
 
 // Destroy implements core.Transport.
@@ -459,16 +460,16 @@ func (tr *Transport) StartSend(te core.TransEnd, m *core.WireMsg, tag uint64) er
 
 // shipFirstPacket queues the first kernel packet of a LYNX message.
 func (tr *Transport) shipFirstPacket(p *sim.Proc, es *endState, om *outMsg) {
-	payload, err := om.wire.Encode()
-	if err == nil && len(payload)+1 > tr.bufCap {
-		err = fmt.Errorf("chbind: message %dB exceeds buffer capacity %dB", len(payload)+1, tr.bufCap)
+	// Encode once, behind the control byte.
+	buf, err := om.wire.AppendEncode(append(make([]byte, 0, 1+om.wire.EncodedLen()), byte(ctrlData)))
+	if err == nil && len(buf) > tr.bufCap {
+		err = fmt.Errorf("chbind: message %dB exceeds buffer capacity %dB", len(buf), tr.bufCap)
 	}
 	if err != nil {
 		delete(es.outbound, om.wire.Kind)
-		tr.sink(core.Event{Kind: core.EvSendFailed, End: es.ref, Tag: om.tag, Err: err})
+		tr.sink(core.Event{Kind: core.EvSendFailed, End: es.te, Tag: om.tag, Err: err})
 		return
 	}
-	buf := append([]byte{byte(ctrlData)}, payload...)
 	var enc charlotte.EndRef
 	if len(om.encl) > 0 {
 		enc = om.encl[0]
@@ -482,7 +483,7 @@ func (tr *Transport) shipFirstPacket(p *sim.Proc, es *endState, om *outMsg) {
 			// run-time package so the sending coroutine unblocks.
 			if !om.delivered {
 				delete(es.outbound, om.wire.Kind)
-				tr.sink(core.Event{Kind: core.EvSendFailed, End: es.ref, Tag: om.tag, Err: core.ErrLinkDestroyed})
+				tr.sink(core.Event{Kind: core.EvSendFailed, End: es.te, Tag: om.tag, Err: core.ErrLinkDestroyed})
 			}
 			return
 		}
@@ -544,7 +545,7 @@ func (tr *Transport) deliverComplete(p *sim.Proc, es *endState, om *outMsg) {
 	}
 	om.delivered = true
 	delete(es.outbound, om.wire.Kind)
-	tr.sink(core.Event{Kind: core.EvDelivered, End: es.ref, Tag: om.tag})
+	tr.sink(core.Event{Kind: core.EvDelivered, End: es.te, Tag: om.tag})
 	tr.adjustReceive(p, es)
 }
 
@@ -628,13 +629,13 @@ func (tr *Transport) endDied(es *endState) {
 	es.dead = true
 	for _, om := range es.outbound {
 		if !om.delivered {
-			tr.sink(core.Event{Kind: core.EvSendFailed, End: es.ref, Tag: om.tag, Err: core.ErrLinkDestroyed})
+			tr.sink(core.Event{Kind: core.EvSendFailed, End: es.te, Tag: om.tag, Err: core.ErrLinkDestroyed})
 		}
 	}
 	es.outbound = make(map[core.MsgKind]*outMsg)
 	es.stashed = nil
 	es.bounceable = make(map[uint64]*outMsg)
-	tr.sink(core.Event{Kind: core.EvLinkDead, End: es.ref, Err: core.ErrLinkDestroyed})
+	tr.sink(core.Event{Kind: core.EvLinkDead, End: es.te, Err: core.ErrLinkDestroyed})
 }
 
 // handleInbound runs the receive-side protocol.
@@ -790,10 +791,9 @@ func (tr *Transport) handleEncPacket(es *endState, d charlotte.Description) {
 func (tr *Transport) finishInbound(es *endState, wire *core.WireMsg, encl []charlotte.EndRef) {
 	wire.Encl = make([]core.TransEnd, len(encl))
 	for i, ref := range encl {
-		tr.ensureEnd(ref)
-		wire.Encl[i] = ref
+		wire.Encl[i] = tr.ensureEnd(ref).te
 	}
-	tr.sink(core.Event{Kind: core.EvIncoming, End: es.ref, Msg: wire})
+	tr.sink(core.Event{Kind: core.EvIncoming, End: es.te, Msg: wire})
 }
 
 // recoverReturnedEnclosure re-adopts an end the peer sent back in a

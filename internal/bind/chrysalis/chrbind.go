@@ -159,7 +159,10 @@ var _ core.Capable = (*Transport)(nil)
 
 // endState is the binding's view of one owned link end.
 type endState struct {
-	id      EndID
+	id EndID
+	// te is id boxed once, when the end is created, so events and
+	// enclosure lists name the end without converting it again.
+	te      core.TransEnd
 	dead    bool
 	wantReq bool
 	wantRep bool
@@ -278,11 +281,14 @@ func BootLink(a, b *Transport) (core.TransEnd, core.TransEnd) {
 	b.kp.Map(nil, obj)
 	a.kp.Write32(nil, obj, offQName0, uint32(a.queue))
 	b.kp.Write32(nil, obj, offQName1, uint32(b.queue))
-	ea := EndID{Obj: obj, Side: 0}
-	eb := EndID{Obj: obj, Side: 1}
-	a.ends[ea] = &endState{id: ea, out: map[core.MsgKind]*outRec{}}
-	b.ends[eb] = &endState{id: eb, out: map[core.MsgKind]*outRec{}}
-	return ea, eb
+	return a.addEnd(EndID{Obj: obj, Side: 0}).te, b.addEnd(EndID{Obj: obj, Side: 1}).te
+}
+
+// addEnd records a newly owned end.
+func (tr *Transport) addEnd(id EndID) *endState {
+	es := &endState{id: id, te: id, out: map[core.MsgKind]*outRec{}}
+	tr.ends[id] = es
+	return es
 }
 
 // MakeLink implements core.Transport: both sides owned locally until one
@@ -291,11 +297,7 @@ func (tr *Transport) MakeLink() (core.TransEnd, core.TransEnd, error) {
 	obj := tr.kp.AllocObject(tr.proc, objSize(tr.bufCap))
 	tr.kp.Write32(tr.proc, obj, offQName0, uint32(tr.queue))
 	tr.kp.Write32(tr.proc, obj, offQName1, uint32(tr.queue))
-	ea := EndID{Obj: obj, Side: 0}
-	eb := EndID{Obj: obj, Side: 1}
-	tr.ends[ea] = &endState{id: ea, out: map[core.MsgKind]*outRec{}}
-	tr.ends[eb] = &endState{id: eb, out: map[core.MsgKind]*outRec{}}
-	return ea, eb, nil
+	return tr.addEnd(EndID{Obj: obj, Side: 0}).te, tr.addEnd(EndID{Obj: obj, Side: 1}).te, nil
 }
 
 // notify enqueues a notice for the owner of the given side of obj,
@@ -334,7 +336,7 @@ func (tr *Transport) Destroy(te core.TransEnd) error {
 	if other, ok := tr.ends[EndID{Obj: id.Obj, Side: id.peerSide()}]; ok {
 		other.dead = true
 		delete(tr.ends, other.id)
-		tr.sink(core.Event{Kind: core.EvLinkDead, End: other.id, Err: core.ErrLinkDestroyed})
+		tr.sink(core.Event{Kind: core.EvLinkDead, End: other.te, Err: core.ErrLinkDestroyed})
 	}
 	tr.kp.Unmap(tr.proc, id.Obj)
 	return nil
@@ -492,13 +494,13 @@ func (tr *Transport) scanEnd(p *sim.Proc, es *endState) {
 					tr.kp.Unmap(p, ees.id.Obj)
 				}
 			}
-			tr.sink(core.Event{Kind: core.EvDelivered, End: id, Tag: rec.tag})
+			tr.sink(core.Event{Kind: core.EvDelivered, End: es.te, Tag: rec.tag})
 		}
 		if kind == core.KindReply && flags&rejBit(id.Side) != 0 {
 			tr.kp.AndFlag16(p, id.Obj, offFlags, ^rejBit(id.Side))
 			if ok {
 				delete(es.out, kind)
-				tr.sink(core.Event{Kind: core.EvSendFailed, End: id, Tag: rec.tag, Err: core.ErrUnwantedReply})
+				tr.sink(core.Event{Kind: core.EvSendFailed, End: es.te, Tag: rec.tag, Err: core.ErrUnwantedReply})
 			}
 		}
 	}
@@ -575,13 +577,13 @@ func (tr *Transport) consume(p *sim.Proc, es *endState, fromSide int, kind core.
 	// ACK: the sender's coroutine can unblock.
 	tr.kp.OrFlag16(p, id.Obj, offFlags, ackBit(fromSide, kind))
 	tr.notify(p, id.Obj, fromSide)
-	tr.sink(core.Event{Kind: core.EvIncoming, End: id, Msg: wire})
+	tr.sink(core.Event{Kind: core.EvIncoming, End: es.te, Msg: wire})
 }
 
 // adoptEnd maps a moved link end into this process: write our dual-queue
 // name (non-atomic!), THEN inspect flags and self-notice anything set —
 // the ordering §5.2 relies on so changes are never overlooked.
-func (tr *Transport) adoptEnd(p *sim.Proc, obj chrysalis.ObjName, side int) EndID {
+func (tr *Transport) adoptEnd(p *sim.Proc, obj chrysalis.ObjName, side int) core.TransEnd {
 	id := EndID{Obj: obj, Side: side}
 	tr.c.moves.Inc()
 	if tr.rec.Active() { // gate here: Sprintf allocates even when obsEmit drops the event
@@ -593,15 +595,14 @@ func (tr *Transport) adoptEnd(p *sim.Proc, obj chrysalis.ObjName, side int) EndI
 		off = offQName1
 	}
 	tr.kp.Write32(p, obj, off, uint32(tr.queue))
-	es := &endState{id: id, out: map[core.MsgKind]*outRec{}}
-	tr.ends[id] = es
+	es := tr.addEnd(id)
 	// Rescan: pending traffic written while the move was in flight.
 	flags, st := tr.kp.Flag16(p, obj, offFlags)
 	if st == chrysalis.OK && flags != 0 {
 		tr.kp.Enqueue(p, tr.queue, uint32(obj))
 		tr.c.notices.Inc()
 	}
-	return id
+	return es.te
 }
 
 // endDead marks an end dead and tells the core.
@@ -611,7 +612,7 @@ func (tr *Transport) endDead(es *endState) {
 	}
 	es.dead = true
 	delete(tr.ends, es.id)
-	tr.sink(core.Event{Kind: core.EvLinkDead, End: es.id, Err: core.ErrLinkDestroyed})
+	tr.sink(core.Event{Kind: core.EvLinkDead, End: es.te, Err: core.ErrLinkDestroyed})
 }
 
 // Shutdown implements core.Transport: "before terminating, each process

@@ -128,6 +128,9 @@ type link struct {
 }
 
 type endState struct {
+	// te is the end's EndID boxed once, when the link is made, so
+	// events name the end without converting it again.
+	te       core.TransEnd
 	owner    *Transport
 	wantReq  bool
 	wantRep  bool
@@ -217,17 +220,17 @@ func (tr *Transport) MakeLink() (core.TransEnd, core.TransEnd, error) {
 	l := &link{id: g.nextLink}
 	g.nextLink += g.stride
 	for i := range l.ends {
+		l.ends[i].te = EndID{l.id, i}
 		l.ends[i].owner = tr
 		l.ends[i].inFlight = make(map[uint64]*flight)
 	}
 	g.links[l.id] = l
-	a, b := EndID{l.id, 0}, EndID{l.id, 1}
-	tr.owned[a] = true
-	tr.owned[b] = true
+	tr.owned[EndID{l.id, 0}] = true
+	tr.owned[EndID{l.id, 1}] = true
 	if f.rec.Active() {
 		f.rec.EmitEnv(tr.env, obs.Event{Kind: obs.KindLinkMake, Link: l.id})
 	}
-	return a, b, nil
+	return l.ends[0].te, l.ends[1].te, nil
 }
 
 func (tr *Transport) end(te core.TransEnd) (*link, EndID, *endState, error) {
@@ -269,13 +272,13 @@ func (tr *Transport) destroyLink(l *link, cause EndID) {
 		for tag, fl := range es.inFlight {
 			fl.cancelled = true
 			delete(es.inFlight, tag)
-			owner.sink(core.Event{Kind: core.EvSendFailed, End: EndID{l.id, side}, Tag: tag, Err: core.ErrLinkDestroyed})
+			owner.sink(core.Event{Kind: core.EvSendFailed, End: es.te, Tag: tag, Err: core.ErrLinkDestroyed})
 		}
 		es.held = nil
 		// The destroying end learns synchronously (core handles it);
 		// every other end is notified by event.
 		if (EndID{l.id, side}) != cause {
-			owner.sink(core.Event{Kind: core.EvLinkDead, End: EndID{l.id, side}, Err: core.ErrLinkDestroyed})
+			owner.sink(core.Event{Kind: core.EvLinkDead, End: es.te, Err: core.ErrLinkDestroyed})
 		}
 	}
 }
@@ -327,7 +330,7 @@ func (f *Fabric) flush(l *link, side int, env *sim.Env) {
 				src := &l.ends[fl.fromEnd.Side]
 				delete(src.inFlight, fl.tag)
 				fl.from.sink(core.Event{
-					Kind: core.EvSendFailed, End: fl.fromEnd, Tag: fl.tag,
+					Kind: core.EvSendFailed, End: src.te, Tag: fl.tag,
 					Err: core.ErrUnwantedReply,
 				})
 				continue
@@ -359,8 +362,8 @@ func (f *Fabric) flush(l *link, side int, env *sim.Env) {
 				f.rec.EmitEnv(env, obs.Event{Kind: obs.KindLinkMove, Link: id.Link, Detail: id.String()})
 			}
 		}
-		es.owner.sink(core.Event{Kind: core.EvIncoming, End: farEnd, Msg: fl.msg})
-		fl.from.sink(core.Event{Kind: core.EvDelivered, End: fl.fromEnd, Tag: fl.tag})
+		es.owner.sink(core.Event{Kind: core.EvIncoming, End: es.te, Msg: fl.msg})
+		fl.from.sink(core.Event{Kind: core.EvDelivered, End: src.te, Tag: fl.tag})
 	}
 	es.held = kept
 }

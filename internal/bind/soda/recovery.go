@@ -29,7 +29,7 @@ func (tr *Transport) scheduleRecovery(es *endState, ps *pendingSend) {
 	if es.dead {
 		if ps != nil {
 			tr.releaseEnclosures(nil, ps)
-			tr.emit(core.Event{Kind: core.EvSendFailed, End: es.myName, Tag: ps.tag, Err: core.ErrLinkDestroyed})
+			tr.emit(core.Event{Kind: core.EvSendFailed, End: es.te, Tag: ps.tag, Err: core.ErrLinkDestroyed})
 		}
 		return
 	}

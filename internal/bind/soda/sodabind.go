@@ -220,7 +220,11 @@ var _ core.Screened = (*Transport)(nil)
 
 // endState is the binding's view of one owned link end.
 type endState struct {
-	myName  soda.Name
+	myName soda.Name
+	// te is myName boxed once, when the end is created, so events and
+	// enclosure lists name the end without converting it again (a Name
+	// above 255 allocates each time it is boxed).
+	te      core.TransEnd
 	farName soda.Name
 	hint    soda.ProcID
 	dead    bool
@@ -392,13 +396,11 @@ func (tr *Transport) emit(ev core.Event) {
 func BootLink(a, b *Transport) (core.TransEnd, core.TransEnd) {
 	nameA := a.kp.NewName(nil)
 	nameB := b.kp.NewName(nil)
-	esA := &endState{myName: nameA, farName: nameB, hint: b.kp.ID(), outstanding: map[uint64]uint64{}}
-	esB := &endState{myName: nameB, farName: nameA, hint: a.kp.ID(), outstanding: map[uint64]uint64{}}
-	a.ends[nameA] = esA
-	b.ends[nameB] = esB
+	esA := a.addEnd(nameA, nameB, b.kp.ID())
+	esB := b.addEnd(nameB, nameA, a.kp.ID())
 	a.kp.Advertise(nil, nameA)
 	b.kp.Advertise(nil, nameB)
-	return nameA, nameB
+	return esA.te, esB.te
 }
 
 // MakeLink implements core.Transport: both ends local, hints self.
@@ -406,13 +408,19 @@ func (tr *Transport) MakeLink() (core.TransEnd, core.TransEnd, error) {
 	n1 := tr.kp.NewName(tr.proc)
 	n2 := tr.kp.NewName(tr.proc)
 	self := tr.kp.ID()
-	e1 := &endState{myName: n1, farName: n2, hint: self, outstanding: map[uint64]uint64{}}
-	e2 := &endState{myName: n2, farName: n1, hint: self, outstanding: map[uint64]uint64{}}
-	tr.ends[n1] = e1
-	tr.ends[n2] = e2
+	e1 := tr.addEnd(n1, n2, self)
+	e2 := tr.addEnd(n2, n1, self)
 	tr.kp.Advertise(tr.proc, n1)
 	tr.kp.Advertise(tr.proc, n2)
-	return n1, n2, nil
+	return e1.te, e2.te, nil
+}
+
+// addEnd records a newly owned end named name whose far end is far,
+// believed to live at hint.
+func (tr *Transport) addEnd(name, far soda.Name, hint soda.ProcID) *endState {
+	es := &endState{myName: name, te: name, farName: far, hint: hint, outstanding: map[uint64]uint64{}}
+	tr.ends[name] = es
+	return es
 }
 
 func (tr *Transport) end(te core.TransEnd) (*endState, bool) {
@@ -530,13 +538,13 @@ func (tr *Transport) drainSaved(p *sim.Proc, es *endState) {
 // wantSaved screens a saved request.
 func (tr *Transport) wantSaved(es *endState, sr savedReq) bool {
 	if sr.kind == core.KindRequest {
-		return tr.screen(es.myName, core.KindRequest, 0)
+		return tr.screen(es.te, core.KindRequest, 0)
 	}
 	full, ok := es.outstanding[sr.seq]
 	if !ok {
 		return false
 	}
-	return tr.screen(es.myName, core.KindReply, full)
+	return tr.screen(es.te, core.KindReply, full)
 }
 
 // StartSend implements core.Transport.
@@ -582,7 +590,7 @@ func (tr *Transport) post(p *sim.Proc, ps *pendingSend) {
 	es := ps.end
 	if es.dead {
 		tr.releaseEnclosures(p, ps)
-		tr.emit(core.Event{Kind: core.EvSendFailed, End: es.myName, Tag: ps.tag, Err: core.ErrLinkDestroyed})
+		tr.emit(core.Event{Kind: core.EvSendFailed, End: es.te, Tag: ps.tag, Err: core.ErrLinkDestroyed})
 		return
 	}
 	for _, e := range ps.encl {
@@ -609,7 +617,7 @@ func (tr *Transport) post(p *sim.Proc, ps *pendingSend) {
 		})
 	default:
 		tr.releaseEnclosures(p, ps)
-		tr.emit(core.Event{Kind: core.EvSendFailed, End: es.myName, Tag: ps.tag, Err: fmt.Errorf("sodabind: put: %v", st)})
+		tr.emit(core.Event{Kind: core.EvSendFailed, End: es.te, Tag: ps.tag, Err: fmt.Errorf("sodabind: put: %v", st)})
 	}
 }
 
@@ -757,7 +765,7 @@ func (tr *Transport) onRequest(ir soda.Interrupt) {
 			tr.kp.Accept(nil, ir.Req, packOOB(oobRejected, 0), nil, 0)
 			return
 		}
-		if kind == core.KindRequest && !tr.screen(es.myName, core.KindRequest, 0) {
+		if kind == core.KindRequest && !tr.screen(es.te, core.KindRequest, 0) {
 			// Unwanted request: simply don't accept yet. No bounce
 			// traffic; the sender's coroutine stays blocked, which is
 			// exactly LYNX's stop-and-wait semantics.
@@ -792,13 +800,12 @@ func (tr *Transport) acceptData(p *sim.Proc, es *endState, req soda.ReqID) {
 	}
 	wire.Encl = make([]core.TransEnd, 0, len(recs))
 	for _, r := range recs {
-		tr.adoptEnd(p, r)
-		wire.Encl = append(wire.Encl, r.name)
+		wire.Encl = append(wire.Encl, tr.adoptEnd(p, r).te)
 	}
 	// The payload physically crosses the bus at accept time; surface the
 	// message after its transfer time so latency accounting holds.
 	delay := tr.kernel.DataDelay(len(got))
-	endName := es.myName
+	endName := es.te
 	tr.env.After(delay, func() {
 		tr.emit(core.Event{Kind: core.EvIncoming, End: endName, Msg: wire})
 	})
@@ -814,15 +821,15 @@ func nenclTrailer(got []byte) int {
 }
 
 // adoptEnd takes ownership of a moved end.
-func (tr *Transport) adoptEnd(p *sim.Proc, r enclRecord) {
+func (tr *Transport) adoptEnd(p *sim.Proc, r enclRecord) *endState {
 	tr.c.linkMoves.Inc()
 	if tr.rec.Active() { // gate here: Sprintf allocates even when obsEmit drops the event
 		tr.obsEmit(obs.KindLinkMove, uint64(r.name), fmt.Sprintf("adopt name=%d from hint=%d", r.name, r.hint))
 	}
-	es := &endState{myName: r.name, farName: r.farName, hint: r.hint, outstanding: map[uint64]uint64{}}
-	tr.ends[r.name] = es
+	es := tr.addEnd(r.name, r.farName, r.hint)
 	tr.kp.Advertise(p, r.name)
 	delete(tr.moveCache, r.name) // it came back to us
+	return es
 }
 
 // onCompletion handles an accept of one of our requests.
@@ -868,7 +875,7 @@ func (tr *Transport) onCompletion(ir soda.Interrupt) {
 			tr.c.hintFixes.Inc()
 		}
 		tr.ensureWatch(nil, es)
-		tr.emit(core.Event{Kind: core.EvDelivered, End: es.myName, Tag: ps.tag})
+		tr.emit(core.Event{Kind: core.EvDelivered, End: es.te, Tag: ps.tag})
 	case oobMoved:
 		es.hint = soda.ProcID(arg)
 		tr.c.hintFixes.Inc()
@@ -877,11 +884,11 @@ func (tr *Transport) onCompletion(ir soda.Interrupt) {
 		tr.post(nil, ps)
 	case oobDestroyed:
 		tr.releaseEnclosures(nil, ps)
-		tr.emit(core.Event{Kind: core.EvSendFailed, End: es.myName, Tag: ps.tag, Err: core.ErrLinkDestroyed})
+		tr.emit(core.Event{Kind: core.EvSendFailed, End: es.te, Tag: ps.tag, Err: core.ErrLinkDestroyed})
 		tr.linkDead(es)
 	case oobRejected:
 		tr.releaseEnclosures(nil, ps)
-		tr.emit(core.Event{Kind: core.EvSendFailed, End: es.myName, Tag: ps.tag, Err: core.ErrUnwantedReply})
+		tr.emit(core.Event{Kind: core.EvSendFailed, End: es.te, Tag: ps.tag, Err: core.ErrUnwantedReply})
 	}
 }
 
@@ -994,7 +1001,7 @@ func (tr *Transport) linkDead(es *endState) {
 		return
 	}
 	tr.killEnd(nil, es, false)
-	tr.emit(core.Event{Kind: core.EvLinkDead, End: es.myName, Err: core.ErrLinkDestroyed})
+	tr.emit(core.Event{Kind: core.EvLinkDead, End: es.te, Err: core.ErrLinkDestroyed})
 }
 
 // Shutdown implements core.Transport.

@@ -315,7 +315,7 @@ type Process struct {
 	g           *kgroup
 	id          int
 	node        netsim.NodeID
-	completions *sim.Mailbox
+	completions *sim.Queue[Description]
 	dead        bool
 	ends        map[EndRef]bool
 }
@@ -342,19 +342,19 @@ func (k *Kernel) newProcessIn(g *kgroup, node netsim.NodeID) *Process {
 		g:           g,
 		id:          id,
 		node:        node,
-		completions: sim.NewMailbox(g.env, fmt.Sprintf("charlotte.p%d.completions", id)),
+		completions: sim.NewQueue[Description](g.env, fmt.Sprintf("charlotte.p%d.completions", id)),
 		ends:        make(map[EndRef]bool),
 	}
 	return pr
 }
 
 // AssignGroup moves a boot-time process into partition group g (its
-// home shard). The completion mailbox is recreated on the group's env —
+// home shard). The completion queue is recreated on the group's env —
 // safe before the run starts, when no waiter exists.
 func (pr *Process) AssignGroup(g int) {
 	kg := pr.k.groups[g]
 	pr.g = kg
-	pr.completions = sim.NewMailbox(kg.env, fmt.Sprintf("charlotte.p%d.completions", pr.id))
+	pr.completions = sim.NewQueue[Description](kg.env, fmt.Sprintf("charlotte.p%d.completions", pr.id))
 }
 
 // Group reports the partition group pr was assigned to, or -1 before
@@ -570,7 +570,7 @@ func (pr *Process) Cancel(p *sim.Proc, e EndRef, d Direction) Status {
 // Wait blocks until an activity completes and returns its description.
 func (pr *Process) Wait(p *sim.Proc) Description {
 	pr.k.countCall("Wait")
-	d := pr.completions.Get(p).(Description)
+	d := pr.completions.Get(p)
 	p.Delay(pr.k.costs.KernelCall)
 	if pr.k.rec.Active() {
 		var detail string
@@ -587,13 +587,13 @@ func (pr *Process) Wait(p *sim.Proc) Description {
 
 // TryWait returns a completion if one is queued, without blocking.
 func (pr *Process) TryWait(p *sim.Proc) (Description, bool) {
-	v, ok := pr.completions.TryGet()
+	d, ok := pr.completions.TryGet()
 	if !ok {
 		return Description{}, false
 	}
 	pr.k.countCall("Wait")
 	p.Delay(pr.k.costs.KernelCall)
-	return v.(Description), true
+	return d, true
 }
 
 // Destroy destroys the link with the given end. Outstanding activities

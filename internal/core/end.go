@@ -40,7 +40,7 @@ type End struct {
 	explicitOpen bool    // user opened the request queue without a pending Receive
 	handler      Handler // Serve handler (spawns a thread per request)
 	recvWaiters  []*Thread
-	inReq        []*WireMsg         // wanted requests not yet claimed by a thread
+	inReq        []*Request         // wanted requests not yet claimed by a thread
 	inReqAt      []sim.Time         // arrival time of each queued request (queue_wait_ns)
 	replyWaiters map[uint64]*Thread // request seq -> blocked connector
 	// earlyReplies holds replies that overtook the delivery confirmation
@@ -62,10 +62,12 @@ type End struct {
 type Handler func(t *Thread, req *Request)
 
 // sendRecord tracks one outbound message through the stop-and-wait
-// pipeline.
+// pipeline. It owns its message: the transport gets &rec.msg, and a
+// binding that hands that pointer to the receiving process (the ideal
+// fabric does) keeps the record alive until the receiver drops it.
 type sendRecord struct {
 	end      *End
-	msg      *WireMsg
+	msg      WireMsg
 	t        *Thread // blocked sender; nil after an abort detached it
 	tag      uint64
 	inFlight bool
@@ -78,8 +80,8 @@ func (e *End) String() string {
 
 // takeQueued pops the head of e's request queue, recording how long the
 // message sat waiting for a thread to claim it (queue_wait_ns).
-func (e *End) takeQueued() *WireMsg {
-	m := e.inReq[0]
+func (e *End) takeQueued() *Request {
+	req := e.inReq[0]
 	e.inReq = e.inReq[0:copy(e.inReq, e.inReq[1:])]
 	if len(e.inReqAt) > 0 {
 		at := e.inReqAt[0]
@@ -88,10 +90,10 @@ func (e *End) takeQueued() *WireMsg {
 		wait := sim.Duration(pr.env.Now() - at)
 		pr.queueHist.Observe(wait)
 		if pr.rec.Active() {
-			pr.rec.EmitEnv(pr.env, obs.Event{Kind: obs.KindQueueService, Src: pr.name, Seq: m.Seq, Wait: wait, Detail: m.Op})
+			pr.rec.EmitEnv(pr.env, obs.Event{Kind: obs.KindQueueService, Src: pr.name, Seq: req.seq, Wait: wait, Detail: req.op})
 		}
 	}
-	return m
+	return req
 }
 
 // Dead reports whether the link has been destroyed.
@@ -186,3 +188,12 @@ func (r *Request) Links() []*End { return r.links }
 
 // End returns the link end the request arrived on.
 func (r *Request) End() *End { return r.end }
+
+// newRequest builds into req the Request for the incoming message m on
+// e, whose enclosures were adopted as links, and returns req. It is the
+// one constructor: a Receive caller, a queued request and a serve
+// thread's own Request all come from here.
+func newRequest(req *Request, e *End, m *WireMsg, links []*End) *Request {
+	*req = Request{end: e, op: m.Op, seq: m.Seq, data: m.Data, links: links}
+	return req
+}

@@ -90,7 +90,7 @@ func (t *Thread) validateEnclosures(onEnd *End, links []*End) ([]TransEnd, error
 // blocks the thread until the far run-time package receives it (replies)
 // or until the reply arrives (requests, handled by caller via the
 // blockReply transition in finishSend).
-func (t *Thread) startSend(e *End, m *WireMsg, encl []*End) (*sendRecord, error) {
+func (t *Thread) startSend(e *End, m WireMsg, encl []*End) (*sendRecord, error) {
 	pr := t.pr
 	pr.nextTag++
 	rec := &sendRecord{end: e, msg: m, t: t, tag: pr.nextTag, encl: encl}
@@ -127,7 +127,7 @@ func (t *Thread) Connect(e *End, op string, msg Msg) (*Msg, error) {
 		return nil, err
 	}
 	pr.nextSeq++
-	wm := &WireMsg{Kind: KindRequest, Op: op, Seq: pr.nextSeq, Data: msg.Data, Encl: tes}
+	wm := WireMsg{Kind: KindRequest, Op: op, Seq: pr.nextSeq, Data: msg.Data, Encl: tes}
 	pr.stats.RequestsSent++
 	rec, err := t.startSend(e, wm, msg.Links)
 	if err != nil {
@@ -160,12 +160,7 @@ func (t *Thread) Receive(e *End) (*Request, error) {
 	}
 	// A request may already be queued (explicitly-opened queue).
 	if len(e.inReq) > 0 {
-		m := e.takeQueued()
-		links := make([]*End, 0, len(m.Encl))
-		for _, te := range m.Encl {
-			links = append(links, pr.adoptEnd(te))
-		}
-		return &Request{end: e, op: m.Op, seq: m.Seq, data: m.Data, links: links}, nil
+		return e.takeQueued(), nil
 	}
 	e.recvWaiters = append(e.recvWaiters, t)
 	e.syncInterest()
@@ -207,12 +202,7 @@ func (t *Thread) ReceiveAny(ends ...*End) (*Request, error) {
 		// list ends in their preferred order, and arrival order decided
 		// what is queued).
 		if len(e.inReq) > 0 {
-			m := e.takeQueued()
-			links := make([]*End, 0, len(m.Encl))
-			for _, te := range m.Encl {
-				links = append(links, pr.adoptEnd(te))
-			}
-			return &Request{end: e, op: m.Op, seq: m.Seq, data: m.Data, links: links}, nil
+			return e.takeQueued(), nil
 		}
 	}
 	if live == 0 {
@@ -269,7 +259,7 @@ func (t *Thread) Reply(req *Request, msg Msg) error {
 		return err
 	}
 	req.replied = true
-	wm := &WireMsg{Kind: KindReply, Op: req.op, Seq: req.seq, Data: msg.Data, Encl: tes}
+	wm := WireMsg{Kind: KindReply, Op: req.op, Seq: req.seq, Data: msg.Data, Encl: tes}
 	pr.stats.RepliesSent++
 	rec, err := t.startSend(e, wm, msg.Links)
 	if err != nil {

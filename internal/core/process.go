@@ -45,11 +45,18 @@ type Process struct {
 
 	ends         map[TransEnd]*End
 	endOrder     []TransEnd // creation order, for seed-stable exit teardown
-	events       eventQueue
+	events       *sim.Queue[Event]
 	pendingSends map[uint64]*sendRecord
 	pendingWakes []pendingWake
 	nextSeq      uint64
 	nextTag      uint64
+
+	// startThread is the carrier function of every thread of the
+	// process: resumeThread sets starting to the thread it is about to
+	// start, and startThread runs it. One closure per process, so
+	// starting a thread allocates no method value.
+	startThread func()
+	starting    *Thread
 
 	dead  bool
 	stats Stats
@@ -78,7 +85,12 @@ func NewProcess(env *sim.Env, name string, tr Transport, costs calib.LynxRuntime
 	}
 	pr.blockHist = pr.rec.Histogram(obs.MProcBlockNs)
 	pr.queueHist = pr.rec.Histogram(obs.MQueueWaitNs)
-	pr.events.init(env, "lynx:"+name+".events")
+	pr.events = sim.NewQueue[Event](env, "lynx:"+name+".events")
+	pr.startThread = func() {
+		t := pr.starting
+		pr.starting = nil
+		t.run()
+	}
 	pr.spawnThread("main", mainFn)
 	pr.sp = env.Spawn("lynx:"+name, func(p *sim.Proc) {
 		p.OnKill(func() {
@@ -89,7 +101,7 @@ func NewProcess(env *sim.Env, name string, tr Transport, costs calib.LynxRuntime
 	})
 	// The simproc exists but has not run yet: safe to hand it to the
 	// binding before any traffic.
-	tr.SetSink(func(ev Event) { pr.events.put(ev) }, pr.sp)
+	tr.SetSink(pr.events.Put, pr.sp)
 	if sc, ok := tr.(Screened); ok {
 		sc.SetScreen(pr.screen)
 	}
@@ -161,19 +173,21 @@ func (pr *Process) DebugState() string {
 	return b.String()
 }
 
-// spawnThread creates a thread and marks it ready.
+// spawnThread creates a thread running fn and marks it ready.
 func (pr *Process) spawnThread(name string, fn func(*Thread)) *Thread {
+	t := &Thread{name: name, fn: fn}
+	pr.addThread(t)
+	return t
+}
+
+// addThread registers a new thread and marks it ready.
+func (pr *Process) addThread(t *Thread) {
 	pr.nextTID++
-	t := &Thread{
-		pr:   pr,
-		id:   pr.nextTID,
-		name: name,
-		fn:   fn,
-	}
+	t.pr = pr
+	t.id = pr.nextTID
 	pr.threads[t.id] = t
 	pr.liveThreads++
 	pr.readyThreads = append(pr.readyThreads, t)
-	return t
 }
 
 // dispatch is the process's main loop, running on its simproc: run ready
@@ -184,7 +198,7 @@ func (pr *Process) dispatch(p *sim.Proc) {
 		// Drain any events that arrived while threads were running, so
 		// woken threads and fresh messages interleave fairly.
 		for {
-			ev, ok := pr.events.tryGet()
+			ev, ok := pr.events.TryGet()
 			if !ok {
 				break
 			}
@@ -202,7 +216,7 @@ func (pr *Process) dispatch(p *sim.Proc) {
 		}
 		// Block point: wait for one of the open queues or a completion.
 		blockedAt := pr.env.Now()
-		ev := pr.events.get(p)
+		ev := pr.events.Get(p)
 		wait := sim.Duration(pr.env.Now() - blockedAt)
 		pr.blockHist.Observe(wait)
 		if pr.rec.Active() {
@@ -253,7 +267,8 @@ func (pr *Process) resumeThread(t *Thread) {
 		return
 	}
 	if t.co == nil {
-		t.co = pr.env.Carrier(t.run)
+		t.co = pr.env.Carrier(pr.startThread)
+		pr.starting = t
 	}
 	if t.co.Resume() {
 		pr.env.Recycle(t.co)
@@ -419,23 +434,21 @@ func (pr *Process) handleIncoming(ev Event) {
 	switch m.Kind {
 	case KindRequest:
 		e.owedReplies++
-		req := &Request{end: e, op: m.Op, seq: m.Seq, data: m.Data, links: links}
 		pr.stats.RequestsServed++
 		switch {
 		case len(e.recvWaiters) > 0:
 			t := e.recvWaiters[0]
 			e.recvWaiters = e.recvWaiters[0:copy(e.recvWaiters, e.recvWaiters[1:])]
 			pr.deregisterReceiver(t)
-			pr.wakeThread(t, wake{val: req})
+			pr.wakeThread(t, wake{val: newRequest(new(Request), e, m, links)})
 		case e.handler != nil:
-			h := e.handler
-			t := pr.spawnThread("serve:", func(t *Thread) {
-				h(t, req)
-			})
-			t.serveOp = m.Op
+			// The serve thread owns its Request: one object for both.
+			t := &Thread{name: "serve:", serveOp: m.Op, serve: e.handler}
+			newRequest(&t.req, e, m, links)
+			pr.addThread(t)
 		default:
 			// Queue opened explicitly; a thread will Receive it later.
-			e.inReq = append(e.inReq, m)
+			e.inReq = append(e.inReq, newRequest(new(Request), e, m, links))
 			e.inReqAt = append(e.inReqAt, pr.env.Now())
 		}
 		e.syncInterest()
@@ -577,7 +590,7 @@ func (pr *Process) pump(e *End, k MsgKind) {
 	rec := q[0]
 	rec.inFlight = true
 	e.sentUnreceived++
-	if err := pr.tr.StartSend(e.te, rec.msg, rec.tag); err != nil {
+	if err := pr.tr.StartSend(e.te, &rec.msg, rec.tag); err != nil {
 		rec.inFlight = false
 		e.sentUnreceived--
 		pr.finishSend(rec, false)

@@ -29,8 +29,14 @@ type Thread struct {
 	name    string
 	serveOp string
 	fn      func(*Thread)
-	co      *sim.Carrier
-	dead    bool
+	// serve, when set instead of fn, is the handler a serve thread
+	// runs on req, the request it was spawned for. The thread owns the
+	// Request: the handler's *Request points into it, so one object
+	// carries both for as long as anyone holds either.
+	serve Handler
+	req   Request
+	co    *sim.Carrier
+	dead  bool
 	// abortErr, when set by Abort, is delivered at the thread's next
 	// (or current) block point.
 	abortErr error
@@ -114,7 +120,7 @@ func (t *Thread) Sleep(d sim.Duration) error {
 	th := t
 	pr.env.After(d, func() {
 		pr.wakeThread(th, wake{})
-		pr.events.put(Event{Kind: EvTick})
+		pr.events.Put(Event{Kind: EvTick})
 	})
 	t.blocked = blockState{kind: blockSleep}
 	w := t.park()
@@ -134,7 +140,7 @@ func (t *Thread) SleepUntil(at sim.Time) error {
 	th := t
 	pr.env.At(at, func() {
 		pr.wakeThread(th, wake{})
-		pr.events.put(Event{Kind: EvTick})
+		pr.events.Put(Event{Kind: EvTick})
 	})
 	t.blocked = blockState{kind: blockSleep}
 	w := t.park()
@@ -180,6 +186,10 @@ func (t *Thread) run() {
 	}()
 	if t.abortErr != nil {
 		return // aborted before it ever ran
+	}
+	if t.serve != nil {
+		t.serve(t, &t.req)
+		return
 	}
 	t.fn(t)
 }

@@ -75,13 +75,19 @@ func (m *WireMsg) EncodedLen() int {
 // handles are NOT encoded — each transport moves them its own way — but
 // their count is, so the receiver can verify none were lost.
 func (m *WireMsg) Encode() ([]byte, error) {
+	return m.AppendEncode(make([]byte, 0, m.EncodedLen()))
+}
+
+// AppendEncode appends the encoding Encode produces to buf, so a
+// transport that frames the message with its own header can encode it
+// straight into the frame.
+func (m *WireMsg) AppendEncode(buf []byte) ([]byte, error) {
 	if len(m.Op) > maxOpLen {
 		return nil, fmt.Errorf("core: op name %q too long (%d > %d)", m.Op, len(m.Op), maxOpLen)
 	}
 	if len(m.Encl) > 255 {
 		return nil, fmt.Errorf("core: too many enclosures (%d)", len(m.Encl))
 	}
-	buf := make([]byte, 0, m.EncodedLen())
 	buf = append(buf, byte(m.Kind), byte(len(m.Encl)))
 	buf = binary.LittleEndian.AppendUint64(buf, m.Seq)
 	buf = append(buf, byte(len(m.Op)))

@@ -219,6 +219,40 @@ func TestMailboxTryGet(t *testing.T) {
 	_ = e
 }
 
+// TestQueueSteadyBacklog keeps a standing backlog while values flow
+// through a typed queue: order is FIFO, and the backing array stops
+// growing once it holds the backlog (consumed slots are reused by
+// sliding the backlog down, not by appending past them).
+func TestQueueSteadyBacklog(t *testing.T) {
+	q := NewQueue[int](NewEnv(1), "q")
+	next, want := 0, 0
+	for ; next < 5; next++ {
+		q.Put(next)
+	}
+	for i := 0; i < 1000; i++ {
+		q.Put(next)
+		next++
+		if v, ok := q.TryGet(); !ok || v != want {
+			t.Fatalf("step %d: TryGet = %d, %v; want %d", i, v, ok, want)
+		}
+		want++
+	}
+	if q.Len() != 5 {
+		t.Fatalf("Len = %d, want 5", q.Len())
+	}
+	if c := cap(q.items); c > 16 {
+		t.Fatalf("backing array grew to %d for a backlog of 5", c)
+	}
+	for ; want < next; want++ {
+		if v, _ := q.TryGet(); v != want {
+			t.Fatalf("drain: got %d, want %d", v, want)
+		}
+	}
+	if _, ok := q.TryGet(); ok || q.Len() != 0 {
+		t.Fatalf("queue not empty after drain: Len %d", q.Len())
+	}
+}
+
 func TestKillParkedProc(t *testing.T) {
 	e := NewEnv(1)
 	wq := NewWaitQueue(e, "q")

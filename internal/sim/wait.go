@@ -112,43 +112,69 @@ func (s *Semaphore) Release() {
 // Count reports the current count.
 func (s *Semaphore) Count() int { return s.count }
 
-// Mailbox is an unbounded FIFO of values with blocking receive; the
-// lowest-level message queue used by the kernel models.
-type Mailbox struct {
+// Queue is an unbounded FIFO of T values with blocking receive; the
+// lowest-level message queue of the run-time package and the kernel
+// models. Items are stored unboxed, and a head index makes each pop
+// O(1) without shifting the backlog.
+type Queue[T any] struct {
 	wq    *WaitQueue
-	items []any
+	items []T
+	head  int
 }
+
+// NewQueue creates an empty queue.
+func NewQueue[T any](env *Env, name string) *Queue[T] {
+	return &Queue[T]{wq: NewWaitQueue(env, name)}
+}
+
+// Mailbox is a queue of boxed values.
+type Mailbox = Queue[any]
 
 // NewMailbox creates an empty mailbox.
-func NewMailbox(env *Env, name string) *Mailbox {
-	return &Mailbox{wq: NewWaitQueue(env, name)}
-}
+func NewMailbox(env *Env, name string) *Mailbox { return NewQueue[any](env, name) }
 
 // Put appends v and wakes one blocked receiver.
-func (m *Mailbox) Put(v any) {
-	m.items = append(m.items, v)
-	m.wq.Wake()
+func (q *Queue[T]) Put(v T) {
+	if q.head > 0 && len(q.items) == cap(q.items) {
+		// Full, with a consumed prefix: slide the backlog down instead
+		// of growing the array.
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items = q.items[:n]
+		q.head = 0
+	}
+	q.items = append(q.items, v)
+	q.wq.Wake()
 }
 
 // Get removes and returns the oldest value, parking p while empty.
-func (m *Mailbox) Get(p *Proc) any {
-	for len(m.items) == 0 {
-		m.wq.Wait(p)
+func (q *Queue[T]) Get(p *Proc) T {
+	for q.head == len(q.items) {
+		q.wq.Wait(p)
 	}
-	v := m.items[0]
-	m.items = m.items[0:copy(m.items, m.items[1:])]
-	return v
+	return q.pop()
 }
 
 // TryGet removes and returns the oldest value without blocking.
-func (m *Mailbox) TryGet() (any, bool) {
-	if len(m.items) == 0 {
-		return nil, false
+func (q *Queue[T]) TryGet() (T, bool) {
+	if q.head == len(q.items) {
+		var zero T
+		return zero, false
 	}
-	v := m.items[0]
-	m.items = m.items[0:copy(m.items, m.items[1:])]
-	return v, true
+	return q.pop(), true
+}
+
+func (q *Queue[T]) pop() T {
+	v := q.items[q.head]
+	var zero T
+	q.items[q.head] = zero // release references held by the slot
+	q.head++
+	if q.head == len(q.items) {
+		q.items = q.items[:0]
+		q.head = 0
+	}
+	return v
 }
 
 // Len reports the number of queued values.
-func (m *Mailbox) Len() int { return len(m.items) }
+func (q *Queue[T]) Len() int { return len(q.items) - q.head }
