@@ -270,7 +270,7 @@ func (pr *Process) resumeThread(t *Thread) {
 		t.co = pr.env.Carrier(pr.startThread)
 		pr.starting = t
 	}
-	if t.co.Resume() {
+	if pr.env.ResumeThread(t.co) {
 		pr.env.Recycle(t.co)
 		t.co = nil
 		pr.liveThreads--

@@ -110,6 +110,34 @@ func idle(yield func(struct{}) bool) bool {
 	return ok
 }
 
+// Resumes counts an env's carrier resumes. Procs counts the resume
+// loop's switches into a simproc; Threads counts switches into a LYNX
+// thread's carrier made by the simproc that runs it (ResumeThread).
+// Both are pure functions of the run's spec and seed.
+type Resumes struct {
+	Procs, Threads int64
+}
+
+// Resumes reports the carrier resumes so far; a partitioned root
+// reports the sum over its shards.
+func (e *Env) Resumes() Resumes {
+	r := e.resumes
+	if e.par != nil {
+		for _, sh := range e.par.shards {
+			r.Procs += sh.resumes.Procs
+			r.Threads += sh.resumes.Threads
+		}
+	}
+	return r
+}
+
+// ResumeThread resumes c, the carrier of a thread running on one of the
+// env's simprocs, counting it in Resumes().Threads.
+func (e *Env) ResumeThread(c *Carrier) (returned bool) {
+	e.resumes.Threads++
+	return c.Resume()
+}
+
 // Resume runs the carrier until its function suspends or returns, and
 // reports whether it returned. A panic that escapes the function is
 // re-raised here, in the resumer; the carrier is then dead and must

@@ -92,14 +92,30 @@ func (e *Env) EnterParallel(opt ParallelOptions) []*Env {
 	co := &parCoord{root: e, workers: workers, observedFn: opt.ObservedFn}
 	envs := make([]*Env, opt.Groups)
 	for i := range envs {
-		sh := NewEnv(e.rng.Uint64())
+		p := &paddedShard{env: makeEnv(e.rng.Uint64()), st: shardState{co: co, idx: i}}
+		sh := &p.env
 		sh.tracer = e.tracer
-		sh.sh = &shardState{co: co, idx: i}
+		sh.sh = &p.st
 		co.shards = append(co.shards, sh)
 		envs[i] = sh
 	}
 	e.par = co
 	return envs
+}
+
+// cacheLine is the cache-line size paddedShard separates shards by.
+const cacheLine = 64
+
+// paddedShard holds one shard's env and shard state, a cache line clear
+// of any neighbouring allocation. Shards run concurrently, and every
+// scheduling decision writes the env (clock, ready queue, timer heap,
+// resume counts); two shards whose envs shared a cache line would
+// invalidate each other's copy of it at every step.
+type paddedShard struct {
+	_   [cacheLine]byte
+	env Env
+	st  shardState
+	_   [cacheLine]byte
 }
 
 // Partitioned reports whether EnterParallel has been called on e.
@@ -164,6 +180,10 @@ type shardState struct {
 	// depend only on this shard's own spawn order.
 	pidNext   int
 	pidStride int
+
+	// timerChunk is the size of the shard's last timer chunk (see
+	// Env.allocTimer).
+	timerChunk int
 
 	// logging is true when this run must replay in serial order
 	// (refreshed at the start of each run).

@@ -102,6 +102,8 @@ type Env struct {
 	// spare is the last recycled carrier, kept for the next taker
 	// until the run ends (see Env.Carrier).
 	spare *Carrier
+	// resumes counts this env's carrier resumes (see Env.Resumes).
+	resumes Resumes
 	// timerFree is a freelist of recycled timers (hot paths schedule
 	// and retire one timer per scheduling decision).
 	timerFree *timer
@@ -119,7 +121,14 @@ type Env struct {
 
 // NewEnv creates an environment whose random source is seeded with seed.
 func NewEnv(seed uint64) *Env {
-	return &Env{
+	e := makeEnv(seed)
+	return &e
+}
+
+// makeEnv returns a new environment by value, for callers that embed
+// one (see paddedShard).
+func makeEnv(seed uint64) Env {
+	return Env{
 		rng:   NewRand(seed),
 		limit: -1,
 	}
@@ -252,11 +261,17 @@ func (e *Env) schedSleep(t Time, p *Proc) *timer {
 	return tm
 }
 
-// timerChunk is the arena granularity for shard envs. Shards allocate
-// timers in chunks so each group's timer state lives in a handful of
-// contiguous blocks owned by that group's cache lines, instead of
-// heap-interleaved one-at-a-time allocations shared across groups.
-const timerChunk = 256
+// Shard envs allocate timers in chunks, so each group's timer state
+// lives in a handful of contiguous blocks owned by that group's cache
+// lines instead of heap-interleaved one-at-a-time allocations shared
+// across groups. Chunk sizes grow geometrically from timerChunkMin to
+// timerChunkMax: a shard that needs a few timers (one RPC pair) pays for
+// a few, and a busy shard still reaches large contiguous blocks after a
+// handful of chunks.
+const (
+	timerChunkMin = 8
+	timerChunkMax = 256
+)
 
 // allocTimer takes a timer from the freelist, or allocates one.
 func (e *Env) allocTimer() *timer {
@@ -265,8 +280,9 @@ func (e *Env) allocTimer() *timer {
 		t.nextFree = nil
 		return t
 	}
-	if e.sh != nil {
-		chunk := make([]timer, timerChunk)
+	if sh := e.sh; sh != nil {
+		sh.timerChunk = min(max(2*sh.timerChunk, timerChunkMin), timerChunkMax)
+		chunk := make([]timer, sh.timerChunk)
 		for i := len(chunk) - 1; i > 0; i-- {
 			chunk[i].nextFree = e.timerFree
 			e.timerFree = &chunk[i]
@@ -341,6 +357,7 @@ func (e *Env) runCore(limit Time) {
 		if p.co == nil {
 			p.co = e.Carrier(p.run)
 		}
+		e.resumes.Procs++
 		if p.co.Resume() {
 			e.Recycle(p.co)
 			p.co = nil

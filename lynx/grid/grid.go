@@ -428,30 +428,39 @@ type jsonCell struct {
 	Metrics  map[string]sweep.Stat `json:"metrics,omitempty"`
 }
 
-// RenderJSONL writes one JSON object per cell, in enumeration order.
-// encoding/json sorts map keys, so the stream is byte-deterministic
-// for a deterministic Table.
+// RenderJSONL writes one JSON object per cell, in enumeration order:
+// the concatenation of each cell's RenderRow, newline-terminated.
+// encoding/json sorts map keys, so the stream is byte-deterministic for
+// a deterministic Table.
 func (t *Table) RenderJSONL() string {
 	var b strings.Builder
 	for _, cr := range t.Cells {
-		coords := make(map[string]string, len(t.Axes))
-		for i, a := range t.Axes {
-			coords[a.Name] = fmt.Sprint(cr.Cell.coord[i])
-		}
-		rec := jsonCell{
-			Cell:     cr.Cell.Key(),
-			Coords:   coords,
-			Replicas: t.Replicas,
-			Errors:   len(cr.Agg.Errs),
-			Values:   cr.Agg.Values,
-			Metrics:  cr.Agg.Metrics,
-		}
-		line, err := json.Marshal(rec)
-		if err != nil {
-			panic(fmt.Sprintf("grid: marshal cell %s: %v", rec.Cell, err))
-		}
-		b.Write(line)
+		b.Write(RenderRow(cr.Cell, t.Replicas, cr.Agg))
 		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// RenderRow renders one cell's JSONL record (no trailing newline) from
+// its aggregate, exactly as RenderJSONL writes it for a Table run with
+// the given replica count. The "cell" field follows the cell's axis
+// order; every other field is independent of it.
+func RenderRow(c Cell, replicas int, agg *sweep.Aggregate) []byte {
+	coords := make(map[string]string, len(c.axes))
+	for i, a := range c.axes {
+		coords[a.Name] = fmt.Sprint(c.coord[i])
+	}
+	rec := jsonCell{
+		Cell:     c.Key(),
+		Coords:   coords,
+		Replicas: replicas,
+		Errors:   len(agg.Errs),
+		Values:   agg.Values,
+		Metrics:  agg.Metrics,
+	}
+	line, err := json.Marshal(rec)
+	if err != nil {
+		panic(fmt.Sprintf("grid: marshal cell %s: %v", rec.Cell, err))
+	}
+	return line
 }

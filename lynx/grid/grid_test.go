@@ -217,3 +217,29 @@ func TestGridRenderFormats(t *testing.T) {
 		t.Fatalf("JSONL first line shape wrong: %s", lines[0])
 	}
 }
+
+// RenderRow renders a cell's row on its own. Only the "cell" field
+// follows axis order: the same aggregate rendered for a cell of the
+// axis-reversed grid differs in that field alone.
+func TestRenderRowAxisOrder(t *testing.T) {
+	tbl := Run(spec(1))
+	revCells := enumerate([]Axis{tbl.Axes[1], tbl.Axes[0]})
+	lines := strings.Split(strings.TrimSuffix(tbl.RenderJSONL(), "\n"), "\n")
+	for i, cr := range tbl.Cells {
+		row := string(RenderRow(cr.Cell, tbl.Replicas, cr.Agg))
+		if row != lines[i] {
+			t.Fatalf("cell %s: RenderRow differs from its RenderJSONL line", cr.Cell.Key())
+		}
+		var other Cell
+		for _, c := range revCells {
+			if c.Str("substrate") == cr.Cell.Str("substrate") && c.Int("payload") == cr.Cell.Int("payload") {
+				other = c
+			}
+		}
+		got := string(RenderRow(other, tbl.Replicas, cr.Agg))
+		want := strings.Replace(row, `"cell":"`+cr.Cell.Key()+`"`, `"cell":"`+other.Key()+`"`, 1)
+		if got != want || got == row {
+			t.Fatalf("reversed-axes row for %s:\n%s\nwant\n%s", cr.Cell.Key(), got, want)
+		}
+	}
+}

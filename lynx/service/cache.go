@@ -16,8 +16,13 @@ import (
 // axis-order-independent coordinates, the replica count, and the exact
 // replica seeds — so a hit is byte-equivalent to a re-run by
 // construction, and repeated or overlapping sweeps only pay for the
-// cells they have not seen. Aggregates are stored by reference and must
-// never be mutated after insertion (the grid runner's Hook contract).
+// cells they have not seen.
+//
+// Each entry also keeps the cell's rendered JSONL row, so a hit serves
+// stored bytes instead of re-marshalling the aggregate. Entries are
+// shared by reference across jobs (job result lines alias the row) and
+// must never be mutated after insertion (the grid runner's Hook
+// contract).
 //
 // Eviction is FIFO at a fixed entry bound: the daemon's steady state is
 // many clients resubmitting recent sweeps, where insertion order is a
@@ -25,14 +30,33 @@ import (
 type cellCache struct {
 	mu      sync.Mutex
 	max     int
-	entries map[string]*sweep.Aggregate
+	entries map[string]*cacheEntry
 	order   []string
 	hits    int64
 	misses  int64
 }
 
+// cacheEntry is one cached cell: its aggregate, and the row the first
+// job rendered for it under that job's cell key. The key is part of the
+// entry because the cache key is axis-order-independent but the row's
+// "cell" field is not: a job whose cell key differs renders its own row.
+type cacheEntry struct {
+	agg    *sweep.Aggregate
+	row    []byte
+	rowKey string
+}
+
+// rowFor returns the entry's stored row when it was rendered under key
+// (the cell's Key), or renders the job's own row from the aggregate.
+func (ce *cacheEntry) rowFor(c grid.Cell, key string, replicas int) []byte {
+	if key == ce.rowKey {
+		return ce.row
+	}
+	return grid.RenderRow(c, replicas, ce.agg)
+}
+
 func newCellCache(max int) *cellCache {
-	return &cellCache{max: max, entries: map[string]*sweep.Aggregate{}}
+	return &cellCache{max: max, entries: map[string]*cacheEntry{}}
 }
 
 // cellKey derives the cache key of one cell run: a SHA-256 over the
@@ -49,19 +73,19 @@ func cellKey(bodyID string, c grid.Cell, replicas int, root uint64) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-func (cc *cellCache) get(key string) (*sweep.Aggregate, bool) {
+func (cc *cellCache) get(key string) (*cacheEntry, bool) {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
-	agg, ok := cc.entries[key]
+	ce, ok := cc.entries[key]
 	if ok {
 		cc.hits++
 	} else {
 		cc.misses++
 	}
-	return agg, ok
+	return ce, ok
 }
 
-func (cc *cellCache) put(key string, agg *sweep.Aggregate) {
+func (cc *cellCache) put(key string, ce *cacheEntry) {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	if _, ok := cc.entries[key]; ok {
@@ -72,7 +96,7 @@ func (cc *cellCache) put(key string, agg *sweep.Aggregate) {
 		cc.order = cc.order[1:]
 		delete(cc.entries, oldest)
 	}
-	cc.entries[key] = agg
+	cc.entries[key] = ce
 	cc.order = append(cc.order, key)
 }
 

@@ -13,9 +13,9 @@ func TestCellCacheHitMissAndStats(t *testing.T) {
 		t.Fatal("empty cache must miss")
 	}
 	agg := &sweep.Aggregate{}
-	cc.put("k1", agg)
+	cc.put("k1", &cacheEntry{agg: agg})
 	got, ok := cc.get("k1")
-	if !ok || got != agg {
+	if !ok || got.agg != agg {
 		t.Fatal("cache must return the stored aggregate by reference")
 	}
 	entries, hits, misses := cc.stats()
@@ -27,7 +27,7 @@ func TestCellCacheHitMissAndStats(t *testing.T) {
 func TestCellCacheFIFOEviction(t *testing.T) {
 	cc := newCellCache(2)
 	for i := 0; i < 3; i++ {
-		cc.put(fmt.Sprintf("k%d", i), &sweep.Aggregate{})
+		cc.put(fmt.Sprintf("k%d", i), &cacheEntry{agg: &sweep.Aggregate{}})
 	}
 	if _, ok := cc.get("k0"); ok {
 		t.Fatal("oldest entry must be evicted at the bound")
@@ -42,10 +42,10 @@ func TestCellCacheFIFOEviction(t *testing.T) {
 func TestCellCacheDuplicatePutKeepsFirst(t *testing.T) {
 	cc := newCellCache(2)
 	first := &sweep.Aggregate{}
-	cc.put("k", first)
-	cc.put("k", &sweep.Aggregate{})
+	cc.put("k", &cacheEntry{agg: first})
+	cc.put("k", &cacheEntry{agg: &sweep.Aggregate{}})
 	got, _ := cc.get("k")
-	if got != first {
+	if got.agg != first {
 		t.Fatal("duplicate put must keep the first aggregate")
 	}
 	if entries, _, _ := cc.stats(); entries != 1 {

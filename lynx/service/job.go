@@ -166,10 +166,13 @@ type job struct {
 	total        int
 	cacheHits    int64
 	cacheMisses  int64
-	// rollup is the per-job pooled metric registry (every cell's
-	// instruments under its cell-key prefix), served at
-	// /jobs/{id}/metrics.
-	rollup *obs.Metrics
+	// rows collects a grid job's result rows by cell index as its cells
+	// complete; the rows are shared with the cell cache, never mutated.
+	rows [][]byte
+	// table is a finished grid job's result table, kept for
+	// /jobs/{id}/metrics, which pools it into the per-job rollup on
+	// request (every cell's instruments under its cell-key prefix).
+	table *grid.Table
 }
 
 func newJob(id, kind, client, key string, now time.Time) *job {
@@ -340,18 +343,12 @@ func (j *job) status() JobStatus {
 	}
 }
 
-// splitLines turns a rendered multi-line string into stream lines.
-func splitLines(s string) [][]byte {
-	s = strings.TrimRight(s, "\n")
-	if s == "" {
-		return nil
+// setRow files cell i's result row. Callers hold j.mu.
+func (j *job) setRow(i int, row []byte) {
+	for len(j.rows) <= i {
+		j.rows = append(j.rows, nil)
 	}
-	parts := strings.Split(s, "\n")
-	out := make([][]byte, len(parts))
-	for i, p := range parts {
-		out[i] = []byte(p)
-	}
-	return out
+	j.rows[i] = row
 }
 
 // buildJob validates a request and constructs the runnable job.

@@ -229,9 +229,11 @@ func (s *Service) statsSnapshot() map[string]int64 {
 }
 
 // cacheHook builds the grid Hook injecting the cell cache into a job's
-// run: identical (body, cell, seeds) aggregates are reused, fresh cells
-// are computed and stored, and a canceled job context short-circuits
-// remaining cells (cancellation's grain is the cell boundary).
+// run: identical (body, cell, seeds) aggregates are reused together with
+// their stored result rows, fresh cells are computed, rendered and
+// stored, and a canceled job context short-circuits remaining cells
+// (cancellation's grain is the cell boundary). Each cell's row is filed
+// on the job for finishGridJob.
 func (s *Service) cacheHook(j *job, bodyID string, replicas int, root uint64) func(c grid.Cell, run func() *sweep.Aggregate) *sweep.Aggregate {
 	return func(c grid.Cell, run func() *sweep.Aggregate) *sweep.Aggregate {
 		if err := j.ctx.Err(); err != nil {
@@ -244,12 +246,15 @@ func (s *Service) cacheHook(j *job, bodyID string, replicas int, root uint64) fu
 			}
 		}
 		key := cellKey(bodyID, c, replicas, root)
-		if agg, ok := s.cache.get(key); ok {
+		rowKey := c.Key()
+		if ce, ok := s.cache.get(key); ok {
+			row := ce.rowFor(c, rowKey, replicas)
 			j.mu.Lock()
 			j.cacheHits++
+			j.setRow(c.Index, row)
 			j.mu.Unlock()
 			s.count(MCacheHits)
-			return agg
+			return ce.agg
 		}
 		j.mu.Lock()
 		j.cacheMisses++
@@ -257,7 +262,11 @@ func (s *Service) cacheHook(j *job, bodyID string, replicas int, root uint64) fu
 		s.count(MCacheMisses)
 		agg := run()
 		if len(agg.Errs) == 0 {
-			s.cache.put(key, agg)
+			ce := &cacheEntry{agg: agg, row: grid.RenderRow(c, replicas, agg), rowKey: rowKey}
+			s.cache.put(key, ce)
+			j.mu.Lock()
+			j.setRow(c.Index, ce.row)
+			j.mu.Unlock()
 		}
 		return agg
 	}
@@ -265,9 +274,8 @@ func (s *Service) cacheHook(j *job, bodyID string, replicas int, root uint64) fu
 
 // finishGridJob folds a completed grid table into the job's terminal
 // state: canceled if the job context was canceled, failed on the first
-// replica error, otherwise done with the table's JSONL rendering as the
-// verbatim result section and its pooled registry as the metrics
-// rollup.
+// replica error, otherwise done with the cells' rows as the verbatim
+// result section. The table is kept for the metrics rollup.
 func (s *Service) finishGridJob(j *job, tbl *grid.Table) {
 	if err := j.ctx.Err(); err != nil {
 		j.finish(StateCanceled, nil, err)
@@ -282,9 +290,11 @@ func (s *Service) finishGridJob(j *job, tbl *grid.Table) {
 		}
 	}
 	j.mu.Lock()
-	j.rollup = tbl.Merged()
+	rows := j.rows
+	j.rows = nil
+	j.table = tbl
 	j.mu.Unlock()
-	j.finish(StateDone, splitLines(tbl.RenderJSONL()), nil)
+	j.finish(StateDone, rows, nil)
 }
 
 // Submit validates, registers, and enqueues a job, returning its
@@ -460,13 +470,13 @@ func (s *Service) handleJobMetrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j.mu.Lock()
-	rollup := j.rollup
+	tbl := j.table
 	j.mu.Unlock()
-	if rollup == nil {
+	if tbl == nil {
 		writeError(w, http.StatusNotFound, "job %s has no metrics rollup (not finished, failed, or not a grid job)", j.id)
 		return
 	}
-	writeJSON(w, http.StatusOK, rollup.Snapshot())
+	writeJSON(w, http.StatusOK, tbl.Merged().Snapshot())
 }
 
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -2,8 +2,9 @@
 # lynxd end-to-end smoke: start the daemon on an ephemeral port, submit
 # a seeded one-cell load job through lynxctl, and assert the streamed
 # result table is byte-identical to the same sweep run via the CLI
-# (`lynxload -json`) — the daemon's determinism contract — then check
-# the daemon shuts down cleanly on SIGTERM.
+# (`lynxload -json`) — the daemon's determinism contract. Then check
+# that cache hits serve the cold job's rows and metrics rollup, and
+# that the daemon shuts down cleanly on SIGTERM.
 #
 # Usage: scripts/lynxd_smoke.sh [BIN_DIR]   (default ./bin)
 set -eu
@@ -63,6 +64,46 @@ if ! cmp -s "$OUT/daemon_faults.jsonl" "$OUT/cli_faults.jsonl"; then
 	exit 1
 fi
 
+# Cached-path leg: a cold two-cell load job, then its repeat (served
+# wholly from the cell cache) and an extend by one rate (two hits, one
+# fresh cell). A hit serves the rows the cold job stored, and the
+# per-job metrics rollup is built on request from the job's table, so
+# the repeat's rows and rollup must equal the cold job's byte for byte,
+# and the extend's first two rows and its rollup entries for those
+# cells must too. The seed is one no other leg uses, so the first job
+# is cold.
+CACHED='"substrates":["charlotte"],"window":"200ms","seed":3'
+job_result() { # NAME SPEC: submit, write NAME.jsonl and NAME.metrics
+	"$BIN/lynxctl" submit "{\"kind\":\"load\",\"client\":\"smoke\",\"load\":{$2}}" >"$OUT/$1.submit"
+	JID=$(sed -n 's/.*"id":"\([^"]*\)".*/\1/p' "$OUT/$1.submit")
+	[ -n "$JID" ] || { echo "lynxd-smoke: $1 submit returned no job id"; cat "$OUT/$1.submit"; exit 1; }
+	"$BIN/lynxctl" result "$JID" >"$OUT/$1.jsonl"
+	"$BIN/lynxctl" metrics "$JID" >"$OUT/$1.metrics"
+}
+cache_hits() {
+	"$BIN/lynxctl" metrics | sed -n 's/.*"lynxd_cache_hits":\([0-9]*\).*/\1/p'
+}
+# entries splits a flat JSON counter object into one "name":value line each.
+entries() { grep -o '"[^"]*":-\{0,1\}[0-9][0-9]*' "$1"; }
+job_result cold "$CACHED,\"rates\":[30,60]"
+HITS0=$(cache_hits)
+job_result repeat "$CACHED,\"rates\":[30,60]"
+job_result extend "$CACHED,\"rates\":[30,60,90]"
+HITS1=$(cache_hits)
+[ "$(wc -l <"$OUT/cold.jsonl")" -eq 2 ] || { echo "lynxd-smoke: cold job streamed $(wc -l <"$OUT/cold.jsonl") rows, want 2"; exit 1; }
+cmp -s "$OUT/cold.jsonl" "$OUT/repeat.jsonl" || { echo "lynxd-smoke: repeat rows differ from the cold job's"; exit 1; }
+head -n 2 "$OUT/extend.jsonl" | cmp -s - "$OUT/cold.jsonl" || { echo "lynxd-smoke: extend's shared rows differ from the cold job's"; exit 1; }
+cmp -s "$OUT/cold.metrics" "$OUT/repeat.metrics" || { echo "lynxd-smoke: repeat metrics rollup differs from the cold job's"; exit 1; }
+entries "$OUT/cold.metrics" >"$OUT/cold.entries"
+entries "$OUT/extend.metrics" >"$OUT/extend.entries"
+[ -s "$OUT/cold.entries" ] || { echo "lynxd-smoke: cold job has an empty metrics rollup"; cat "$OUT/cold.metrics"; exit 1; }
+if grep -vxFf "$OUT/extend.entries" "$OUT/cold.entries" >"$OUT/missing.entries"; then
+	echo "lynxd-smoke: extend metrics rollup differs from the cold job's on the shared cells:"
+	head -3 "$OUT/missing.entries"
+	exit 1
+fi
+[ "$HITS1" -ge $((HITS0 + 4)) ] || { echo "lynxd-smoke: lynxd_cache_hits went $HITS0 -> $HITS1, want +4 (repeat 2, extend 2)"; exit 1; }
+
 # Third leg: the flight recorder. Submit a sampled-mode job at a rate
 # no earlier leg used (25/s — a cached cell would run nothing and emit
 # no events), follow its live trace with `lynxtrace -follow`, and
@@ -100,4 +141,4 @@ if [ "$st" -ne 0 ]; then
 fi
 grep -q "shutting down" "$OUT/lynxd.log" || { echo "lynxd-smoke: no shutdown line"; cat "$OUT/lynxd.log"; exit 1; }
 
-echo "lynxd-smoke: ok (daemon table byte-identical to CLI, clean shutdown)"
+echo "lynxd-smoke: ok (daemon table byte-identical to CLI, cache hits serve the cold job's bytes, clean shutdown)"
